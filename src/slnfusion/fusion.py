@@ -5,15 +5,17 @@ a tensor product of fundamental modules (k-th exterior powers of the vector
 representation, with k-subsets of {1..n} as basis), producing exact rational
 generator matrices.  `fusion_graded` then filters V(lambda1) (x) V(lambda2),
 viewed as a two-point evaluation module over the current algebra at distinct
-points c1 and c2, by polynomial degree: starting from the product of the two
-top vectors it alternately closes under the plain sl_n action (degree 0) and
-applies the degree-one current generators, recording per-weight dimensions
-after every stage.  Successive differences of those characters are genuine
-module characters; `peel_character` decomposes each into irreducibles, giving
-the graded decomposition.
+points c1 and c2, by polynomial degree.  v1 (x) v2 generates it under
+U(n^-[t]) and t^2 acts through t and 1, so the degree-s piece is
+F_s(mu) = sum_k f_k F_s(mu + alpha_k) + (f_k (x) t) F_{s-1}(mu + alpha_k),
+computed for each degree by one pass down the weights in order of height.
+Successive differences of the per-weight dimensions are genuine module
+characters; `peel_character` decomposes each into irreducibles, giving the
+graded decomposition.
 
-Every step is a weight-space-local row reduction over exact integers, which
-is what keeps near-10^4-dimensional tensor products tractable here.
+Every step is a weight-space-local row reduction in plain integers (the
+lowering operators are scaled to integer matrices once), which is what keeps
+near-10^4-dimensional tensor products tractable here.
 """
 
 from __future__ import annotations
@@ -362,12 +364,32 @@ class GradedDecomposition:
         )
 
 
-def _integerize(vec: Mapping[int, Fraction]) -> dict[int, int]:
-    scale = 1
-    for v in vec.values():
-        d = v.denominator if isinstance(v, Fraction) else 1
-        scale = scale * d // math.gcd(scale, d)
-    return {k: int(v * scale) for k, v in vec.items()}
+def _lowering_maps(m1: ExplicitModule, c1: Fraction, m2: ExplicitModule, c2: Fraction):
+    """For each k: alpha_k and plain-int column maps of f_k and f_k (x) t on
+    m1 (x) m2 (flat index a * m2.dim + b).  Each operator is scaled by one
+    positive constant that both Leibniz legs share, so spans are unchanged."""
+    d1, d2 = m1.dim, m2.dim
+    t_scale = math.lcm(c1.denominator, c2.denominator)
+    t1, t2 = int(c1 * t_scale), int(c2 * t_scale)
+
+    def tensor_map(f1, f2, x1, x2):
+        return [
+            [(r * d2 + b, x1 * c) for r, c in f1[a] if x1]
+            + [(a * d2 + r, x2 * c) for r, c in f2[b] if x2]
+            for a in range(d1)
+            for b in range(d2)
+        ]
+
+    maps = []
+    for k in range(1, m1.n):
+        scale = math.lcm(
+            *(c.denominator for m in (m1, m2) for col in m.f[k - 1] for _, c in col)
+        )
+        f1 = [[(r, int(c * scale)) for r, c in col] for col in m1.f[k - 1]]
+        f2 = [[(r, int(c * scale)) for r, c in col] for col in m2.f[k - 1]]
+        alpha = simple_root_weight(m1.n, k)
+        maps.append((alpha, tensor_map(f1, f2, 1, 1), tensor_map(f1, f2, t1, t2)))
+    return maps
 
 
 def fusion_graded(
@@ -382,91 +404,60 @@ def fusion_graded(
     if m1.n != m2.n:
         raise ValueError(f"rank mismatch: sl_{m1.n} vs sl_{m2.n}")
     n = m1.n
-    d2 = m2.dim
     full = m1.dim * m2.dim
-    alphas = [simple_root_weight(n, k) for k in range(1, n)]
+    top = m1.highest + m2.highest
+    maps = _lowering_maps(m1, c1, m2, c2)
 
-    def tensor_apply(which: str, k: int, row: Mapping[int, int], w1, w2):
-        # (x (x) t^d) v: w1, w2 scale the two Leibniz legs (1,1 for degree 0)
-        cols1 = (m1.e if which == "e" else m1.f)[k - 1]
-        cols2 = (m2.e if which == "e" else m2.f)[k - 1]
-        out: dict[int, Fraction] = {}
-        for idx, v in row.items():
-            a, b = divmod(idx, d2)
-            if w1:
-                for r, c in cols1[a]:
-                    j = r * d2 + b
-                    out[j] = out.get(j, 0) + w1 * c * v
-            if w2:
-                for r, c in cols2[b]:
-                    j = a * d2 + r
-                    out[j] = out.get(j, 0) + w2 * c * v
-        return {k2: v for k2, v in out.items() if v}
+    dims: dict[Weight, int] = {}
+    for w1, k1 in m1.weight_space_dims().items():
+        for w2, k2 in m2.weight_space_dims().items():
+            dims[w1 + w2] = dims.get(w1 + w2, 0) + k1 * k2
+    order = sorted(dims, key=lambda w: root_lattice_height(top - w))
+    spaces = {w: IntegerRowSpan() for w in order}
 
-    def cartan_t(k: int, row: Mapping[int, int]):
-        # (h_k (x) t) is diagonal on the tensor basis but not scalar on a
-        # weight space, so it genuinely enlarges spans.
-        out: dict[int, Fraction] = {}
+    def apply(cols: list, row: Mapping[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
         for idx, v in row.items():
-            a, b = divmod(idx, d2)
-            val = c1 * m1.weights[a].coords[k - 1] + c2 * m2.weights[b].coords[k - 1]
-            if val:
-                out[idx] = v * val
+            for j, c in cols[idx]:
+                out[j] = out.get(j, 0) + c * v
         return out
 
-    spaces: dict[Weight, IntegerRowSpan] = {}
-
-    def insert(weight: Weight, vec) -> dict[int, int] | None:
-        span = spaces.setdefault(weight, IntegerRowSpan())
-        return span.insert(_integerize(vec))
-
-    def closure0(seed: list) -> list:
-        """Close under the degree-0 action; returns the rows actually added."""
-        added = []
-        work = deque(seed)
-        while work:
-            w, vec = work.popleft()
-            stored = insert(w, vec)
-            if stored is None:
-                continue
-            added.append((w, stored))
-            for k in range(1, n):
-                img = tensor_apply("e", k, stored, 1, 1)
-                if img:
-                    work.append((w + alphas[k - 1], img))
-                img = tensor_apply("f", k, stored, 1, 1)
-                if img:
-                    work.append((w - alphas[k - 1], img))
-        return added
-
-    def snapshot() -> dict[Weight, int]:
-        return {w: sp.dimension for w, sp in spaces.items() if sp.dimension}
-
-    top_weight = m1.highest + m2.highest
-    new_rows = closure0([(top_weight, {0: 1})])
-    characters = [snapshot()]
-    total = sum(characters[-1].values())
-
+    # Rows added in degrees s-1 and s, by weight.  A row gets f_k in the
+    # degree it was added and f_k (x) t in the next one: f_k F_{s-1} and
+    # (f_k (x) t) F_{s-2} already lie in F_{s-1}.
+    prev_rows: dict[Weight, list] = {}
+    new_rows = {top: [spaces[top].insert({0: 1})]}
+    characters = []
+    total = 0
     while total < full:
-        raw = []
-        for w, row in new_rows:
-            for k in range(1, n):
-                img = tensor_apply("e", k, row, c1, c2)
-                if img:
-                    raw.append((w + alphas[k - 1], img))
-                img = tensor_apply("f", k, row, c1, c2)
-                if img:
-                    raw.append((w - alphas[k - 1], img))
-                img = cartan_t(k, row)
-                if img:
-                    raw.append((w, img))
-        new_rows = closure0(raw)
-        if not new_rows:
+        for mu in order:
+            span = spaces[mu]
+            if span.dimension == dims[mu]:
+                continue
+            fresh = new_rows.setdefault(mu, [])
+            images = (
+                apply(cols, row)
+                for alpha, f_cols, ft_cols in maps
+                for cols, rows in (
+                    (f_cols, new_rows.get(mu + alpha, ())),
+                    (ft_cols, prev_rows.get(mu + alpha, ())),
+                )
+                for row in rows
+            )
+            for img in images:
+                stored = span.insert(img)
+                if stored is not None:
+                    fresh.append(stored)
+                    if span.dimension == dims[mu]:
+                        break
+        gained = sum(len(rows) for rows in new_rows.values())
+        if not gained:
             raise RuntimeError(
                 "degree filtration stalled before exhausting the tensor product"
             )
-        characters.append(snapshot())
-        total = sum(characters[-1].values())
+        total += gained
+        characters.append({w: sp.dimension for w, sp in spaces.items() if sp.dimension})
+        prev_rows, new_rows = new_rows, {}
 
     entries: dict[tuple[int, Weight], int] = {}
     previous: dict[Weight, int] = {}

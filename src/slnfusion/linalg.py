@@ -5,8 +5,8 @@ Vectors are dicts {coordinate index: value}.  Two flavors:
 * RationalRowBasis keeps a fully reduced echelon basis over Fraction and can
   express new vectors in that basis (needed to extract generator matrices);
 * IntegerRowSpan only tracks the dimension of a growing span, fraction-free
-  (gcd-normalized integer rows), which is all the filtration walk needs and
-  is considerably faster.
+  (gcd-normalized integer rows), which is all the fusion filtration needs
+  and is considerably faster.
 """
 
 from __future__ import annotations

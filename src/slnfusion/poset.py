@@ -121,7 +121,10 @@ def maximal_pair(lam: Weight) -> WeightPair:
             half.append((m + (-1) ** odd_seen) // 2)
     mu = Weight(lam.n, half)
     pair = WeightPair(mu, lam - mu)
-    assert pair.first.is_dominant and pair.second.is_dominant
+    if not (pair.first.is_dominant and pair.second.is_dominant):
+        raise AssertionError(
+            f"maximal pair ({pair.first}, {pair.second}) of {lam} is not dominant"
+        )
     return pair
 
 
@@ -226,7 +229,11 @@ def weyl_character_prediction(lam: Weight) -> WeylModulePrediction:
     pair = maximal_pair(lam)
     character = lr_coefficients(pair.first, pair.second)
     dim = weyl_dim(pair.first) * weyl_dim(pair.second)
-    assert character.dimension() == dim
+    if character.dimension() != dim:
+        raise AssertionError(
+            f"character at ({pair.first}, {pair.second}) has dimension "
+            f"{character.dimension()}, expected {dim}"
+        )
     return WeylModulePrediction(
         lam=lam,
         max_pair=pair,
@@ -302,8 +309,13 @@ def poset_report(lam: Weight) -> PosetReport:
             edges.append((a, b, diff.nonnegative))
     min_pair = WeightPair(lam, Weight.zero(lam.n))
     max_pair = maximal_pair(lam)
-    assert all(order_leq(min_pair, p) for p in nodes)
-    assert all(order_leq(p, max_pair) for p in nodes)
+    if not all(order_leq(min_pair, p) for p in nodes):
+        raise AssertionError(f"({lam}, 0) is not the minimum of the poset of {lam}")
+    if not all(order_leq(p, max_pair) for p in nodes):
+        raise AssertionError(
+            f"({max_pair.first}, {max_pair.second}) is not the maximum "
+            f"of the poset of {lam}"
+        )
     return PosetReport(
         lam=lam,
         nodes=tuple(nodes),

@@ -8,12 +8,11 @@ and the acceptance tests are both thin wrappers around these functions.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cases import proven_regime, verify_case
+from .cases import _dominant_range, proven_regime, verify_case
 from .dyck import bounds_from_weight, dominant_points, lattice_points
 from .fusion import build_irrep, fusion_graded
 from .poset import (
@@ -68,13 +67,6 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.name}: {self.detail} ({self.elapsed:.1f}s)"
-
-
-def _dominant_range(n: int, coord_max: int) -> list[Weight]:
-    return [
-        Weight(n, coords)
-        for coords in itertools.product(range(coord_max + 1), repeat=n - 1)
-    ]
 
 
 def check_sl2(m_max: int = 6) -> CheckResult:

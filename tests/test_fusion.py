@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from slnfusion.fusion import (
     DimensionCapError,
@@ -187,6 +188,39 @@ def test_fusion_sl2_max_degree():
                 build_irrep(Weight(2, (m1,))), 0, build_irrep(Weight(2, (m2,))), 1
             )
             assert g.max_degree == m2
+
+
+def test_fusion_graded_non_integral_generators_frozen():
+    # V(1,2,1) of sl_4 has generator matrices with denominators, so the
+    # lowering maps must be scaled to integers before the filtration runs
+    m = build_irrep(Weight(4, (1, 2, 1)))
+    assert any(c.denominator > 1 for cols in m.f for col in cols for _, c in col)
+    g = fusion_graded(m, Fraction(1, 2), build_irrep(Weight(4, (0, 1, 0))), 3)
+    assert sorted((s, tau.coords, mult) for (s, tau), mult in g.entries.items()) == [
+        (0, (1, 3, 1), 1),
+        (1, (0, 2, 2), 1),
+        (1, (0, 3, 0), 1),
+        (1, (2, 1, 2), 1),
+        (1, (2, 2, 0), 1),
+        (2, (1, 1, 1), 1),
+    ]
+
+
+POINT_INDEPENDENCE_PAIRS = [
+    (Weight(2, (3,)), Weight(2, (2,))),
+    (Weight(2, (4,)), Weight(2, (1,))),
+    (Weight(3, (1, 1)), Weight(3, (1, 0))),
+    (Weight(3, (2, 1)), Weight(3, (1, 1))),
+]
+POINTS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(deadline=None, max_examples=20)
+@given(pair=st.sampled_from(POINT_INDEPENDENCE_PAIRS), c1=POINTS, c2=POINTS)
+def test_fusion_graded_independent_of_points(pair, c1, c2):
+    assume(c1 != c2)
+    m1, m2 = build_irrep(pair[0]), build_irrep(pair[1])
+    assert fusion_graded(m1, c1, m2, c2) == fusion_graded(m1, 0, m2, 1)
 
 
 def test_fusion_adjoint_squared_graded_frozen():
