@@ -173,9 +173,9 @@ class ExplicitModule:
         return dims
 
 
-@lru_cache(maxsize=None)
 def build_irrep(lam: Weight, cap: int = DEFAULT_DIM_CAP) -> ExplicitModule:
-    """Construct V(lam) explicitly; refuses modules larger than `cap`."""
+    """Construct V(lam) explicitly; refuses modules larger than `cap`.
+    Modules are cached by `lam` alone, whatever cap admitted them."""
     if not lam.is_dominant:
         raise ValueError(f"build_irrep requires a dominant weight, got {lam}")
     dim = weyl_dim(lam)
@@ -185,6 +185,12 @@ def build_irrep(lam: Weight, cap: int = DEFAULT_DIM_CAP) -> ExplicitModule:
             dim=dim,
             cap=cap,
         )
+    return _build_irrep(lam)
+
+
+@lru_cache(maxsize=None)
+def _build_irrep(lam: Weight) -> ExplicitModule:
+    dim = weyl_dim(lam)
     n = lam.n
     amb = _Ambient(lam)
     alphas = [simple_root_weight(n, k) for k in range(1, n)]

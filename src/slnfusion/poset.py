@@ -13,7 +13,8 @@ truncated at t^2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .cases import proven_regime
@@ -61,11 +62,13 @@ class WeightPair:
     def n(self) -> int:
         return self.first.n
 
-    @property
+    # Computed once per pair and kept in the instance __dict__; eq, hash and
+    # to_json read only the two fields.
+    @cached_property
     def total(self) -> Weight:
         return self.first + self.second
 
-    @property
+    @cached_property
     def min_vector(self) -> BoundVector:
         """Pairwise minimum of coroot pairings over all positive roots."""
         return bounds_from_pair(self.first, self.second)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .typea import Weight, weight_multiplicities, weyl_dim
+from .typea import Weight, _diagram_parts, weyl_dim
 
 __all__ = [
     "DecompositionMap",
@@ -130,32 +130,29 @@ def _sort_sign(parts: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     return (-1) ** inversions, tuple(sorted(seq, reverse=True))
 
 
-def _fold_diagram(fixed: Weight, diagram: Mapping[Weight, int]) -> dict[Weight, int]:
-    n = fixed.n
+def _klimyk(lambda1: Weight, lambda2: Weight) -> dict[Weight, int]:
+    """Reflection-rule decomposition walking the diagram of the second factor."""
+    n = lambda1.n
     rho = Weight.rho(n)
-    shift = (fixed + rho).to_parts()
-    acc: dict[Weight, int] = {}
-    for nu, mult in diagram.items():
-        parts = tuple(s + t for s, t in zip(shift, nu.to_parts()))
+    shift = (lambda1 + rho).to_parts()
+    # Keyed by the sorted shifted parts; all share one total, so the key
+    # determines the constituent.
+    acc: dict[tuple[int, ...], int] = {}
+    for nu, mult in _diagram_parts(n, lambda2.to_parts()):
+        parts = tuple(s + t for s, t in zip(shift, nu))
         if len(set(parts)) < n:
             continue  # singular: lies on a chamber wall, contributes nothing
         sign, sorted_parts = _sort_sign(parts)
+        acc[sorted_parts] = acc.get(sorted_parts, 0) + sign * mult
+    out: dict[Weight, int] = {}
+    for sorted_parts, mult in acc.items():
+        if mult == 0:
+            continue
         tau = Weight.from_parts(n, sorted_parts) - rho
-        total = acc.get(tau, 0) + sign * mult
-        if total:
-            acc[tau] = total
-        elif tau in acc:
-            del acc[tau]
-    return acc
-
-
-def _klimyk(lambda1: Weight, lambda2: Weight) -> dict[Weight, int]:
-    """Reflection-rule decomposition walking the diagram of the second factor."""
-    acc = _fold_diagram(lambda1, weight_multiplicities(lambda2))
-    for tau, mult in acc.items():
         if mult < 0 or not tau.is_dominant:
             raise AssertionError("reflection rule produced an invalid constituent")
-    return acc
+        out[tau] = mult
+    return out
 
 
 @lru_cache(maxsize=None)

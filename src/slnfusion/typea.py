@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "RankContext",
     "Weight",
     "Root",
     "positive_roots",
@@ -36,26 +35,6 @@ __all__ = [
     "dominance_leq",
     "root_lattice_height",
 ]
-
-
-@dataclass(frozen=True)
-class RankContext:
-    """Rank parameter for sl_n; weights carry n-1 fundamental coordinates."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"rank context requires an integer n >= 2, got {self.n!r}")
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        """Dynkin node indices 1..n-1."""
-        return tuple(range(1, self.n))
-
-    @property
-    def num_positive_roots(self) -> int:
-        return self.n * (self.n - 1) // 2
 
 
 def _check_rank(n: int) -> None:
@@ -407,13 +386,19 @@ def dominant_weight_multiplicities(weight: Weight) -> dict[Weight, int]:
     return {Weight.from_parts(weight.n, q): m for q, m in raw.items()}
 
 
+def _diagram_parts(n: int, lam_parts: tuple[int, ...]):
+    # Every weight of V(lam) in parts form with its multiplicity: each
+    # dominant weight's Weyl orbit is the set of permutations of its parts.
+    for q, m in _dominant_mults_by_parts(n, lam_parts).items():
+        for perm in set(itertools.permutations(q)):
+            yield perm, m
+
+
 def weight_multiplicities(weight: Weight) -> dict[Weight, int]:
     """The full weight diagram of V(weight): every weight with its exact
     multiplicity, extended over each Weyl orbit."""
     _require_dominant(weight, "weight_multiplicities")
-    raw = _dominant_mults_by_parts(weight.n, weight.to_parts())
-    diagram: dict[Weight, int] = {}
-    for q, m in raw.items():
-        for perm in set(itertools.permutations(q)):
-            diagram[Weight.from_parts(weight.n, perm)] = m
-    return diagram
+    return {
+        Weight.from_parts(weight.n, perm): m
+        for perm, m in _diagram_parts(weight.n, weight.to_parts())
+    }

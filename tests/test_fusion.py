@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from slnfusion.fusion import (
+    DEFAULT_DIM_CAP,
     DimensionCapError,
     GradedDecomposition,
     build_irrep,
@@ -46,6 +47,16 @@ def test_build_irrep_validation():
         build_irrep(Weight(3, (4, 4)), 100)
     assert exc.value.dim == 125
     assert exc.value.cap == 100
+
+
+def test_build_irrep_one_cache_key():
+    lam = Weight(3, (2, 1))
+    assert build_irrep(lam) is build_irrep(lam, DEFAULT_DIM_CAP)
+    assert build_irrep(lam, 10_000) is build_irrep(lam)
+    # a cached module is still refused under a cap below its dimension
+    with pytest.raises(DimensionCapError) as exc:
+        build_irrep(lam, weyl_dim(lam) - 1)
+    assert exc.value.dim == weyl_dim(lam)
 
 
 def test_weight_spaces_match_freudenthal():

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from slnfusion.dyck import bounds_from_pair
 from slnfusion.poset import (
     PosetReport,
     WeightPair,
@@ -44,6 +45,26 @@ def test_weight_pair_validation():
 def test_weight_pair_min_vector():
     pair = WeightPair(Weight(3, (2, 0)), Weight(3, (0, 2)))
     assert pair.min_vector.values == (0, 2, 0)
+
+
+def test_weight_pair_cached_attributes_keep_identity():
+    a, b = Weight(4, (2, 0, 1)), Weight(4, (0, 3, 1))
+    pair, fresh = WeightPair(a, b), WeightPair(b, a)
+    json_before = pair.to_json()
+    assert pair.total == a + b
+    assert pair.min_vector is pair.min_vector  # computed once, then kept
+    # reading the cached attributes leaves equality, hashing and JSON alone
+    assert pair == fresh
+    assert hash(pair) == hash(fresh)
+    assert {pair: 1}[fresh] == 1
+    assert pair.to_json() == fresh.to_json() == json_before
+    assert pair.min_vector == bounds_from_pair(a, b)
+    other = WeightPair(a, Weight(4, (0, 3, 0)))
+    assert other.total != pair.total and other.min_vector is not None
+    with pytest.raises(ValueError):
+        order_leq(pair, other)
+    with pytest.raises(ValueError):
+        order_leq(other, pair)
 
 
 def test_enumerate_pairs_frozen():

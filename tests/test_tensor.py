@@ -3,7 +3,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from slnfusion.cases import is_much_greater, large_case_mults
 from slnfusion.tensor import (
     DecompositionMap,
     SignedDecompositionMap,
@@ -158,3 +160,59 @@ def test_signed_map_subtract_round_trip():
     zero = a.subtract(a)
     assert zero.entries == {}
     assert zero.nonnegative
+
+
+def weights(n, coord_max):
+    return st.tuples(*[st.integers(0, coord_max)] * (n - 1)).map(lambda c: Weight(n, c))
+
+
+def weight_pairs(coord_max):
+    return st.integers(2, 4).flatmap(
+        lambda n: st.tuples(weights(n, coord_max), weights(n, coord_max))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(weight_pairs(3))
+def test_lr_symmetric_and_dimension_property(pair):
+    a, b = pair
+    got = lr_coefficients(a, b)
+    assert got == lr_coefficients(b, a)
+    assert got.dimension() == weyl_dim(a) * weyl_dim(b)
+
+
+def _expand(pairs):
+    # sum of m * lr(x, y) over (x, y, m), in the irreducible basis
+    out = {}
+    for x, y, m in pairs:
+        for sigma, k in lr_coefficients(x, y).items_sorted():
+            out[sigma] = out.get(sigma, 0) + m * k
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(weights(3, 2), weights(3, 2), weights(3, 2))
+def test_lr_associative_sl3(a, b, c):
+    # (V(a) (x) V(b)) (x) V(c) == V(a) (x) (V(b) (x) V(c))
+    left = _expand((tau, c, m) for tau, m in lr_coefficients(a, b).items_sorted())
+    right = _expand((a, sigma, m) for sigma, m in lr_coefficients(b, c).items_sorted())
+    assert left == right
+
+
+@st.composite
+def much_greater_pairs(draw):
+    # lambda1 + w(lambda2) is dominant for every w iff each coordinate of
+    # lambda1 is at least p_1 - p_n = sum of lambda2's coordinates
+    n = draw(st.integers(2, 4))
+    b = draw(weights(n, 2))
+    extra = draw(st.tuples(*[st.integers(0, 2)] * (n - 1)))
+    a = Weight(n, tuple(sum(b.coords) + e for e in extra))
+    return a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(much_greater_pairs())
+def test_lr_matches_large_case(pair):
+    a, b = pair
+    assert is_much_greater(a, b)
+    assert lr_coefficients(a, b) == large_case_mults(a, b)

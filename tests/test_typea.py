@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from slnfusion.typea import (
-    RankContext,
     Root,
     Weight,
     dominance_leq,
@@ -29,14 +28,6 @@ def dominant_weights(n, coord_max):
     return [
         Weight(n, c) for c in itertools.product(range(coord_max + 1), repeat=n - 1)
     ]
-
-
-def test_rank_context_validation():
-    ctx = RankContext(3)
-    assert ctx.nodes == (1, 2)
-    assert ctx.num_positive_roots == 3
-    with pytest.raises(ValueError):
-        RankContext(1)
 
 
 def test_weight_construction_and_validation():
