@@ -8,12 +8,20 @@ and the integer points of that polytope are the objects everything downstream
 counts.  Enumeration runs on the pruned system (a path whose support is
 contained in another path's support with the same base is redundant) and the
 full system is retained for post-hoc checks.
+
+The enumerator works on plain exponent tuples: a depth-first search in root
+order emits them in lexicographic order, one stable sort by degree gives the
+(degree, exponents) order, and only then is each tuple turned into a
+`LatticePoint` through its validating constructor.  Weights of points are
+summed in integers from the cached fundamental-weight coordinates of the
+positive roots, and a `Weight` is built once per result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Mapping
 
 from .typea import (
@@ -178,13 +186,13 @@ class LatticePoint:
     exps: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(v) for v in self.exps)
+        exps = tuple(map(int, self.exps))
         expected = self.n * (self.n - 1) // 2
         if len(exps) != expected:
             raise ValueError(
                 f"lattice point for sl_{self.n} needs {expected} exponents, got {len(exps)}"
             )
-        if any(v < 0 for v in exps):
+        if exps and min(exps) < 0:
             raise ValueError("exponents must be nonnegative")
         object.__setattr__(self, "exps", exps)
 
@@ -222,11 +230,9 @@ class LatticePoint:
     @property
     def wt(self) -> Weight:
         """sum s_alpha * alpha, as a Weight."""
-        acc = Weight.zero(self.n)
-        for root, s in zip(positive_roots(self.n), self.exps):
-            if s:
-                acc = acc + s * root_as_weight(root)
-        return acc
+        return Weight(
+            self.n, [sum(map(mul, self.exps, col)) for col in _root_weight_columns(self.n)]
+        )
 
     @property
     def hei(self) -> int:
@@ -249,6 +255,14 @@ class LatticePoint:
         return cls.from_sparse(n, ((i, j, s) for i, j, s in data["exps"]))
 
 
+@lru_cache(maxsize=None)
+def _root_weight_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """Fundamental-weight coordinates of the positive roots of sl_n, one
+    tuple per coordinate holding that coordinate of every root in root
+    order, so a weight sum s_alpha * alpha is one dot product per column."""
+    return tuple(zip(*(root_as_weight(r).coords for r in positive_roots(n))))
+
+
 def _compiled_system(n: int, prune: bool) -> list[tuple[tuple[int, ...], int]]:
     # (coordinate positions, base position) per inequality
     compiled = []
@@ -259,38 +273,47 @@ def _compiled_system(n: int, prune: bool) -> list[tuple[tuple[int, ...], int]]:
 
 
 def lattice_points(bounds: BoundVector, *, prune: bool = True) -> list[LatticePoint]:
-    """All integer points of the polytope cut out by `bounds`, enumerated by
-    depth-first search in root order with running partial sums, returned
-    sorted by (degree, exponents)."""
+    """All integer points of the polytope cut out by `bounds`, sorted by
+    (degree, exponents).
+
+    A depth-first search in root order keeps the remaining slack of each
+    inequality and bounds each coordinate by the least slack among the
+    inequalities that touch it; at the last coordinate it emits the whole
+    range at once.  The exponent tuples come out in lexicographic order, so
+    one stable sort by degree gives the (degree, exponents) order.  Every
+    tuple then becomes a `LatticePoint` through the validating constructor,
+    in place, so no second list of the same length is built."""
     n = bounds.n
     num = len(bounds.values)
+    last = num - 1
     system = _compiled_system(n, prune)
-    limits = [bounds.values[base] for _, base in system]
+    slack = [bounds.values[base] for _, base in system]
     touching: list[list[int]] = [[] for _ in range(num)]
     for s, (idxs, _) in enumerate(system):
         for k in idxs:
             touching[k].append(s)
-    sums = [0] * len(system)
     acc = [0] * num
-    out: list[LatticePoint] = []
+    out: list = []
 
     def rec(k: int) -> None:
-        if k == num:
-            out.append(LatticePoint(n, tuple(acc)))
-            return
         ids = touching[k]
-        ub = min(limits[s] - sums[s] for s in ids)
+        ub = min(map(slack.__getitem__, ids))
+        if k == last:
+            head = tuple(acc[:last])
+            out.extend([head + (v,) for v in range(ub + 1)])
+            return
         for v in range(ub + 1):
             acc[k] = v
             rec(k + 1)
             for s in ids:
-                sums[s] += 1
-        acc[k] = 0
+                slack[s] -= 1
         for s in ids:
-            sums[s] -= ub + 1
+            slack[s] += ub + 1
 
     rec(0)
-    out.sort(key=LatticePoint.sort_key)
+    out.sort(key=sum)
+    for i, exps in enumerate(out):
+        out[i] = LatticePoint(n, exps)
     return out
 
 
@@ -311,9 +334,12 @@ def dominant_points(
     lambda1 + lambda2 - wt(s) is dominant, each with that weight.  These are
     the candidates bounding the highest-weight points from above."""
     total = lambda1 + lambda2
+    n = total.n
+    cols = tuple(zip(total.coords, _root_weight_columns(n)))
     out = []
     for pt in lattice_points(bounds_from_pair(lambda1, lambda2)):
-        tau = total - pt.wt
-        if tau.is_dominant:
-            out.append((pt, tau))
+        exps = pt.exps
+        tau = [t - sum(map(mul, exps, col)) for t, col in cols]
+        if min(tau) >= 0:
+            out.append((pt, Weight(n, tau)))
     return out

@@ -355,7 +355,7 @@ def run_all(
         check_rectangular(),
         check_pieri(),
         check_large(),
-        check_ffol(),
+        check_ffol(n_max=n_max, coord_max=coord_max),
     ]
     fusion_result, collapses = check_fusion(eval_pairs=eval_pairs)
     results.append(fusion_result)

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slnfusion.dyck import (
     BoundVector,
@@ -17,7 +18,30 @@ from slnfusion.dyck import (
     point_satisfies,
 )
 from slnfusion.tensor import lr_coefficients
-from slnfusion.typea import Root, Weight, weyl_dim
+from slnfusion.typea import Root, Weight, positive_roots, root_as_weight, weyl_dim
+
+
+def weight_sum(point):
+    """Reference for LatticePoint.wt: sum s_alpha * alpha in Weight arithmetic."""
+    acc = Weight.zero(point.n)
+    for root, s in zip(positive_roots(point.n), point.exps):
+        acc = acc + s * root_as_weight(root)
+    return acc
+
+
+@st.composite
+def bound_vectors(draw):
+    n = draw(st.integers(2, 4))
+    size = n * (n - 1) // 2
+    values = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    return BoundVector(n, values)
+
+
+@st.composite
+def dominant_weights(draw):
+    n = draw(st.integers(2, 4))
+    coords = draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1))
+    return Weight(n, coords)
 
 
 def test_dyck_paths_sl2():
@@ -91,6 +115,30 @@ def test_pruning_preserves_solution_sets():
             )
 
 
+@settings(max_examples=60, deadline=None)
+@given(bound_vectors())
+def test_lattice_points_match_brute_force(bounds):
+    # every point of the box [0, a_alpha] that meets the full system, in
+    # (degree, exponents) order
+    box = itertools.product(*(range(a + 1) for a in bounds.values))
+    expected = sorted(
+        (
+            exps
+            for exps in box
+            if point_satisfies(LatticePoint(bounds.n, exps), bounds, prune=False)
+        ),
+        key=lambda exps: (sum(exps), exps),
+    )
+    for prune in (True, False):
+        assert [p.exps for p in lattice_points(bounds, prune=prune)] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(dominant_weights())
+def test_lattice_point_count_is_weyl_dimension(lam):
+    assert len(lattice_points(bounds_from_weight(lam))) == weyl_dim(lam)
+
+
 def test_bound_vector_validation():
     bv = BoundVector(3, (1, 2, 1))
     assert bv.of(Root(3, 1, 2)) == 2
@@ -133,6 +181,21 @@ def test_lattice_point_basics():
     assert both.exps == (2, 0, 1)
     with pytest.raises(ValueError):
         e12 + LatticePoint.zero(4)
+
+
+def test_lattice_point_validation():
+    with pytest.raises(ValueError, match="nonnegative"):
+        LatticePoint(3, (0, -1, 0))
+    with pytest.raises(ValueError, match="needs 3 exponents"):
+        LatticePoint(3, (1, 1))
+    assert LatticePoint(3, [1, 0, 2]).exps == (1, 0, 2)
+
+
+def test_lattice_point_weight_matches_weight_sum():
+    for n, bound in ((2, 4), (3, 2), (4, 1)):
+        lam = Weight(n, (bound,) * (n - 1))
+        for p in lattice_points(bounds_from_weight(lam)):
+            assert p.wt == weight_sum(p)
 
 
 def test_lattice_point_json():
@@ -184,6 +247,21 @@ def test_dominant_points_frozen():
         ((0, 0, 0), (1, 1)),
         ((0, 1, 0), (0, 0)),
     ]
+
+
+def test_dominant_points_match_shifted_weight_filter():
+    # the filter on Weight arithmetic that the integer shift replaces
+    for n, cmax in ((3, 2), (4, 1)):
+        grid = [Weight(n, c) for c in itertools.product(range(cmax + 1), repeat=n - 1)]
+        for lam1 in grid:
+            for lam2 in grid:
+                total = lam1 + lam2
+                expected = [
+                    (p, total - weight_sum(p))
+                    for p in lattice_points(bounds_from_pair(lam1, lam2))
+                    if (total - weight_sum(p)).is_dominant
+                ]
+                assert dominant_points(lam1, lam2) == expected
 
 
 def test_dominant_points_bound_lr_multiplicities():
