@@ -25,7 +25,7 @@ from .dyck import (
 )
 from .fusion import DEFAULT_DIM_CAP, DimensionCapError, build_irrep, fusion_graded
 from .poset import poset_report, weyl_character_prediction
-from .suite import DEFAULT_EVAL_PAIRS, run_all
+from .suite import run_all
 from .tensor import DecompositionMap, lr_coefficients
 from .typea import Weight, weyl_dim
 
@@ -42,20 +42,6 @@ def _parse_weight(parser: argparse.ArgumentParser, n: int, text: str, flag: str)
     if any(c < 0 for c in coords):
         parser.error(f"{flag}: coordinates must be nonnegative, got {text!r}")
     return Weight(n, coords)
-
-
-def _parse_eval_pairs(parser: argparse.ArgumentParser, text: str):
-    pairs = []
-    try:
-        for chunk in text.split(";"):
-            c1, c2 = (Fraction(part.strip()) for part in chunk.split(","))
-            pairs.append((c1, c2))
-    except (ValueError, ZeroDivisionError):
-        parser.error(f"--evals: expected 'c1,c2;c1,c2;...' with rationals, got {text!r}")
-    for c1, c2 in pairs:
-        if c1 == c2:
-            parser.error(f"--evals: evaluation points must be distinct, got {c1},{c2}")
-    return tuple(pairs)
 
 
 def _resolve_cap(args) -> int:
@@ -165,11 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--coord-max", type=int, default=3)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument(
-        "--evals",
-        default="0,1;1,3;2,-1",
-        help="evaluation-point pairs for independence tests, 'c1,c2;c1,c2;...'",
-    )
 
     return parser
 
@@ -347,14 +328,8 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         return 0
 
     if args.command == "verify":
-        eval_pairs = _parse_eval_pairs(parser, args.evals)
         cap = _resolve_cap(args)
-        results = run_all(
-            n_max=args.n_max,
-            coord_max=args.coord_max,
-            dim_cap=cap,
-            eval_pairs=eval_pairs,
-        )
+        results = run_all(n_max=args.n_max, coord_max=args.coord_max, dim_cap=cap)
         payload = [
             {
                 "name": r.name,

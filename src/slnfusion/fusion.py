@@ -9,6 +9,9 @@ points c1 and c2, by polynomial degree.  v1 (x) v2 generates it under
 U(n^-[t]) and t^2 acts through t and 1, so the degree-s piece is
 F_s(mu) = sum_k f_k F_s(mu + alpha_k) + (f_k (x) t) F_{s-1}(mu + alpha_k),
 computed for each degree by one pass down the weights in order of height.
+Modulo F_{s-1}, f_k (x) t acts on F_{s-1} as a nonzero multiple of
+1 (x) f_k (see `fusion_graded`), so the filtration does not depend on the
+points, and they are only checked to be distinct.
 Successive differences of the per-weight dimensions are genuine module
 characters; `peel_character` decomposes each into irreducibles, giving the
 graded decomposition.
@@ -370,22 +373,11 @@ class GradedDecomposition:
         )
 
 
-def _lowering_maps(m1: ExplicitModule, c1: Fraction, m2: ExplicitModule, c2: Fraction):
-    """For each k: alpha_k and plain-int column maps of f_k and f_k (x) t on
-    m1 (x) m2 (flat index a * m2.dim + b).  Each operator is scaled by one
-    positive constant that both Leibniz legs share, so spans are unchanged."""
+def _lowering_maps(m1: ExplicitModule, m2: ExplicitModule):
+    """For each k: alpha_k and plain-int column maps of f_k and 1 (x) f_k on
+    m1 (x) m2 (flat index a * m2.dim + b).  Both are scaled by the lcm of the
+    denominators of f_k on m1 and m2, so spans are unchanged."""
     d1, d2 = m1.dim, m2.dim
-    t_scale = math.lcm(c1.denominator, c2.denominator)
-    t1, t2 = int(c1 * t_scale), int(c2 * t_scale)
-
-    def tensor_map(f1, f2, x1, x2):
-        return [
-            [(r * d2 + b, x1 * c) for r, c in f1[a] if x1]
-            + [(a * d2 + r, x2 * c) for r, c in f2[b] if x2]
-            for a in range(d1)
-            for b in range(d2)
-        ]
-
     maps = []
     for k in range(1, m1.n):
         scale = math.lcm(
@@ -393,8 +385,15 @@ def _lowering_maps(m1: ExplicitModule, c1: Fraction, m2: ExplicitModule, c2: Fra
         )
         f1 = [[(r, int(c * scale)) for r, c in col] for col in m1.f[k - 1]]
         f2 = [[(r, int(c * scale)) for r, c in col] for col in m2.f[k - 1]]
-        alpha = simple_root_weight(m1.n, k)
-        maps.append((alpha, tensor_map(f1, f2, 1, 1), tensor_map(f1, f2, t1, t2)))
+        right = [
+            [(a * d2 + r, c) for r, c in f2[b]] for a in range(d1) for b in range(d2)
+        ]
+        diagonal = [
+            [(r * d2 + b, c) for r, c in f1[a]] + right[a * d2 + b]
+            for a in range(d1)
+            for b in range(d2)
+        ]
+        maps.append((simple_root_weight(m1.n, k), diagonal, right))
     return maps
 
 
@@ -402,7 +401,13 @@ def fusion_graded(
     m1: ExplicitModule, c1, m2: ExplicitModule, c2
 ) -> GradedDecomposition:
     """Graded decomposition of the fusion product of m1 and m2 placed at the
-    distinct evaluation points c1 and c2 (exact rationals)."""
+    distinct evaluation points c1 and c2 (exact rationals).
+
+    The result does not depend on the points.  On V1 (x) V2, f_k (x) t acts
+    as c1 (f_k (x) 1) + c2 (1 (x) f_k) = c1 f_k + (c2 - c1)(1 (x) f_k), and
+    f_k y already lies in F_{s-1} for every y in F_{s-1}, so
+    (f_k (x) t) F_{s-1} = (1 (x) f_k) F_{s-1} modulo F_{s-1} as c2 != c1.
+    The filtration is therefore built with 1 (x) f_k in place of f_k (x) t."""
     c1 = Fraction(c1)
     c2 = Fraction(c2)
     if c1 == c2:
@@ -412,7 +417,7 @@ def fusion_graded(
     n = m1.n
     full = m1.dim * m2.dim
     top = m1.highest + m2.highest
-    maps = _lowering_maps(m1, c1, m2, c2)
+    maps = _lowering_maps(m1, m2)
 
     dims: dict[Weight, int] = {}
     for w1, k1 in m1.weight_space_dims().items():
@@ -429,8 +434,8 @@ def fusion_graded(
         return out
 
     # Rows added in degrees s-1 and s, by weight.  A row gets f_k in the
-    # degree it was added and f_k (x) t in the next one: f_k F_{s-1} and
-    # (f_k (x) t) F_{s-2} already lie in F_{s-1}.
+    # degree it was added and 1 (x) f_k in the next one: f_k F_{s-1} and
+    # (1 (x) f_k) F_{s-2} already lie in F_{s-1}.
     prev_rows: dict[Weight, list] = {}
     new_rows = {top: [spaces[top].insert({0: 1})]}
     characters = []
@@ -443,10 +448,10 @@ def fusion_graded(
             fresh = new_rows.setdefault(mu, [])
             images = (
                 apply(cols, row)
-                for alpha, f_cols, ft_cols in maps
+                for alpha, f_cols, t_cols in maps
                 for cols, rows in (
                     (f_cols, new_rows.get(mu + alpha, ())),
-                    (ft_cols, prev_rows.get(mu + alpha, ())),
+                    (t_cols, prev_rows.get(mu + alpha, ())),
                 )
                 for row in rows
             )

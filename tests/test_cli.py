@@ -115,6 +115,14 @@ def test_fusion_cap_env_override(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_verify_cap_reaches_fusion_sweep(capsys):
+    # the fusion-oracle sweep builds sl_3 modules of dimension 27 and more
+    code = main(["verify", "--cap", "20"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "dimension cap exceeded" in captured.err
+
+
 def test_fusion_equal_points_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fusion", "--n", "2", "--l", "2", "--m", "1", "--c1", "1", "--c2", "1"])

@@ -1,6 +1,7 @@
 """Dyck paths, the pruned inequality system, and lattice-point enumeration."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,6 +197,16 @@ def test_lattice_point_weight_matches_weight_sum():
         lam = Weight(n, (bound,) * (n - 1))
         for p in lattice_points(bounds_from_weight(lam)):
             assert p.wt == weight_sum(p)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_lattice_point_json_round_trip(data):
+    n = data.draw(st.integers(2, 4))
+    size = n * (n - 1) // 2
+    exps = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    p = LatticePoint(n, exps)
+    assert LatticePoint.from_json(n, json.loads(json.dumps(p.to_json()))) == p
 
 
 def test_lattice_point_json():

@@ -1,6 +1,7 @@
 """Explicit modules, character peeling, and graded fusion products."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from slnfusion.fusion import (
     fusion_graded,
     peel_character,
 )
-from slnfusion.tensor import lr_coefficients
+from slnfusion.linalg import RationalRowBasis
+from slnfusion.tensor import DecompositionMap, lr_coefficients
 from slnfusion.typea import Weight, weight_multiplicities, weyl_dim
 
 SAMPLE_MODULES = [
@@ -134,6 +136,61 @@ def test_peel_character_rejects_non_characters():
         peel_character({Weight(3, (-1, 1)): 1})
 
 
+def small_weights(n, coord_max=2):
+    return st.tuples(*[st.integers(0, coord_max)] * (n - 1)).map(lambda c: Weight(n, c))
+
+
+@st.composite
+def decomposition_maps(draw):
+    n = draw(st.integers(2, 4))
+    entries = draw(
+        st.dictionaries(small_weights(n), st.integers(1, 3), min_size=1, max_size=4)
+    )
+    return DecompositionMap(n, entries)
+
+
+def character_of(dm):
+    """Weight multiplicities of the module sum of m x V(tau) over dm."""
+    char = {}
+    for tau, m in dm.items_sorted():
+        for w, k in weight_multiplicities(tau).items():
+            char[w] = char.get(w, 0) + m * k
+    return char
+
+
+@settings(deadline=None, max_examples=40)
+@given(dm=decomposition_maps())
+def test_peel_character_round_trip(dm):
+    assert peel_character(character_of(dm)) == dm
+
+
+@settings(deadline=None, max_examples=40)
+@given(dm=decomposition_maps())
+def test_decomposition_map_json_round_trip(dm):
+    assert DecompositionMap.from_json(json.loads(json.dumps(dm.to_json()))) == dm
+
+
+@st.composite
+def graded_decompositions(draw):
+    n = draw(st.integers(2, 4))
+    entries = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), small_weights(n)),
+            st.integers(1, 3),
+            max_size=5,
+        )
+    )
+    return GradedDecomposition(
+        n, draw(small_weights(n)), draw(small_weights(n)), entries
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(g=graded_decompositions())
+def test_graded_decomposition_json_round_trip(g):
+    assert GradedDecomposition.from_json(json.loads(json.dumps(g.to_json()))) == g
+
+
 def test_fusion_graded_sl2_frozen():
     g = fusion_graded(build_irrep(Weight(2, (2,))), 0, build_irrep(Weight(2, (1,))), 1)
     assert g.entries == {
@@ -232,6 +289,89 @@ def test_fusion_graded_independent_of_points(pair, c1, c2):
     assume(c1 != c2)
     m1, m2 = build_irrep(pair[0]), build_irrep(pair[1])
     assert fusion_graded(m1, c1, m2, c2) == fusion_graded(m1, 0, m2, 1)
+
+
+def _tensor_lowering(m1, m2, k, x1, x2, vec):
+    """x1 (f_k (x) 1) + x2 (1 (x) f_k) on a sparse vector of m1 (x) m2 (flat
+    index a * m2.dim + b), one factor at a time through ExplicitModule.apply."""
+    d2 = m2.dim
+    out = {}
+    for idx, v in vec.items():
+        a, b = divmod(idx, d2)
+        for r, c in m1.apply("f", k, {a: v}).items():
+            out[r * d2 + b] = out.get(r * d2 + b, 0) + x1 * c
+        for r, c in m2.apply("f", k, {b: v}).items():
+            out[a * d2 + r] = out.get(a * d2 + r, 0) + x2 * c
+    return {i: c for i, c in out.items() if c}
+
+
+def reference_degree_characters(m1, c1, m2, c2):
+    """Characters of F_s / F_{s-1} from the definition, in Fraction
+    arithmetic: F_0 = U(n^-)(v1 (x) v2) and F_s = U(n^-)(F_{s-1} + sum_k
+    (f_k (x) t) F_{s-1}), where f_k (x) t acts as c1 (f_k (x) 1) +
+    c2 (1 (x) f_k).  One RationalRowBasis spans F_s in the whole of V1 (x) V2;
+    its rows stay weight vectors, so each pivot gives one weight."""
+    basis = RationalRowBasis()
+    spanning = []
+
+    def close(vectors):
+        queue = list(vectors)
+        while queue:
+            stored = basis.insert(queue.pop())
+            if stored is not None:
+                row = dict(stored)  # stored rows change under later inserts
+                spanning.append(row)
+                queue.extend(
+                    _tensor_lowering(m1, m2, k, 1, 1, row) for k in range(1, m1.n)
+                )
+
+    def character():
+        char = {}
+        for p in basis.pivots():
+            w = m1.weights[p // m2.dim] + m2.weights[p % m2.dim]
+            char[w] = char.get(w, 0) + 1
+        return char
+
+    close([{0: Fraction(1)}])
+    totals = [character()]
+    while basis.dimension < m1.dim * m2.dim:
+        lower = list(spanning)
+        close(
+            _tensor_lowering(m1, m2, k, c1, c2, row)
+            for row in lower
+            for k in range(1, m1.n)
+        )
+        assert basis.dimension > sum(totals[-1].values()), "filtration stalled"
+        totals.append(character())
+    previous = {}
+    out = {}
+    for s, char in enumerate(totals):
+        out[s] = {
+            w: d - previous.get(w, 0) for w, d in char.items() if d != previous.get(w, 0)
+        }
+        previous = char
+    return out
+
+
+REFERENCE_PAIRS = [
+    (Weight(2, (3,)), Weight(2, (2,))),
+    (Weight(3, (1, 1)), Weight(3, (1, 0))),
+    (Weight(3, (2, 0)), Weight(3, (1, 1))),
+    # f has denominators on V(1,1,2), so the integer scaling is exercised
+    (Weight(4, (1, 1, 2)), Weight(4, (0, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("pair", REFERENCE_PAIRS, ids=lambda p: f"{p[0]}x{p[1]}")
+@settings(deadline=None, max_examples=5)
+@given(c1=POINTS, c2=POINTS)
+def test_fusion_graded_matches_reference_t_action(pair, c1, c2):
+    assume(c1 != c2)
+    m1, m2 = build_irrep(pair[0]), build_irrep(pair[1])
+    graded = fusion_graded(m1, c1, m2, c2)
+    assert {s: character_of(dm) for s, dm in graded.slices()} == (
+        reference_degree_characters(m1, Fraction(c1), m2, Fraction(c2))
+    )
 
 
 def test_fusion_adjoint_squared_graded_frozen():

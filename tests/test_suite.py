@@ -17,9 +17,15 @@ def test_run_all_forwards_limits(monkeypatch):
         if name.startswith("check_"):
             monkeypatch.setattr(suite, name, recorder(name))
     fusion_result = suite.CheckResult("fusion-oracle", True, "", 0.0)
-    monkeypatch.setattr(suite, "check_fusion", lambda **kwargs: (fusion_result, {}))
+
+    def check_fusion(**kwargs):
+        calls["check_fusion"] = kwargs
+        return fusion_result, {}
+
+    monkeypatch.setattr(suite, "check_fusion", check_fusion)
     results = suite.run_all(n_max=3, coord_max=1, dim_cap=50)
     assert len(results) == 10
+    assert calls["check_fusion"] == {"dim_cap": 50}
     assert calls["check_ffol"] == {"n_max": 3, "coord_max": 1}
     assert calls["check_poset"] == {"n_max": 3, "coord_max": 1}
     assert calls["check_schur"] == {"n_max": 3, "coord_max": 1}
