@@ -184,7 +184,7 @@ def build_irrep(lam: Weight, cap: int = DEFAULT_DIM_CAP) -> ExplicitModule:
     dim = weyl_dim(lam)
     if dim > cap:
         raise DimensionCapError(
-            f"V({lam}) has dimension {dim}, above the construction cap {cap}",
+            f"V{lam} has dimension {dim}, above the construction cap {cap}",
             dim=dim,
             cap=cap,
         )
@@ -296,7 +296,7 @@ def peel_character(char: Mapping[Weight, int]) -> DecompositionMap:
                 left.pop(nu, None)
             else:
                 raise ValueError(
-                    f"stripping {mult} x V({top}) drives the multiplicity of {nu} "
+                    f"stripping {mult} x V{top} drives the multiplicity of {nu} "
                     "negative; not a module character"
                 )
         found[top] = found.get(top, 0) + mult

@@ -10,7 +10,6 @@ from slnfusion.suite import (
     check_pieri,
     check_poset,
     check_rectangular,
-    check_sandwich,
     check_schur,
     check_sl2,
     check_weyl,
@@ -28,24 +27,24 @@ def report(result, budget=None):
 
 @pytest.fixture(scope="module")
 def fusion_sweep():
-    # criterion 6 produces the collapse data criterion 7 consumes
+    # criteria 6 and 7 share one pass over the fusion sweep
     return check_fusion()
 
 
 def test_criterion_01_sl2():
-    report(check_sl2(m_max=6), budget=10)
+    report(check_sl2(), budget=10)
 
 
 def test_criterion_02_rectangular():
-    report(check_rectangular(n_values=(3, 4, 5), m_max=3), budget=60)
+    report(check_rectangular(), budget=60)
 
 
 def test_criterion_03_pieri():
-    report(check_pieri(n_values=(3, 4), coord_max=3, k_max=4), budget=60)
+    report(check_pieri(), budget=60)
 
 
 def test_criterion_04_large_pairs():
-    report(check_large(n_values=(3, 4), coord_max=3), budget=60)
+    report(check_large(), budget=60)
 
 
 def test_criterion_05_ffol_counts():
@@ -53,13 +52,13 @@ def test_criterion_05_ffol_counts():
 
 
 def test_criterion_06_fusion_oracle(fusion_sweep):
-    result, _ = fusion_sweep
-    report(result, budget=300)
+    oracle, _ = fusion_sweep
+    report(oracle, budget=300)
 
 
 def test_criterion_07_sandwich(fusion_sweep):
-    _, collapses = fusion_sweep
-    report(check_sandwich(collapses))
+    _, sandwich = fusion_sweep
+    report(sandwich)
 
 
 def test_criterion_08_poset():

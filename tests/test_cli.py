@@ -116,11 +116,38 @@ def test_fusion_cap_env_override(capsys, monkeypatch):
 
 
 def test_verify_cap_reaches_fusion_sweep(capsys):
-    # the fusion-oracle sweep builds sl_3 modules of dimension 27 and more
-    code = main(["verify", "--cap", "20"])
-    captured = capsys.readouterr()
+    # the fusion sweep of criteria 6 and 7 builds sl_3 modules of dimension 27
+    # and more; the checks that stay under the cap still pass and print
+    cap_detail = (
+        "dimension cap exceeded: V(2,2) has dimension 27, above the construction cap 20"
+    )
+    code, out = run(capsys, "verify", "--cap", "20")
     assert code == 1
-    assert "dimension cap exceeded" in captured.err
+    lines = out.splitlines()
+    assert len(lines) == 11 and lines[-1] == "FAILURES PRESENT"
+    for number, line in enumerate(lines[:10], start=1):
+        if number in (6, 7):
+            assert line.startswith("[FAIL] ") and f": {cap_detail} (" in line, line
+        else:
+            assert line.startswith("[PASS] "), line
+    code, out = run(capsys, "verify", "--cap", "20", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert [entry["name"] for entry in payload] == [
+        "sl2-theorem",
+        "rectangular-theorem",
+        "pieri-theorems",
+        "large-pair-theorem",
+        "ffol-count",
+        "fusion-oracle",
+        "sandwich",
+        "poset-axioms",
+        "schur-positivity",
+        "weyl-prediction",
+    ]
+    failed = [entry for entry in payload if not entry["passed"]]
+    assert [entry["name"] for entry in failed] == ["fusion-oracle", "sandwich"]
+    assert all(entry["detail"] == cap_detail for entry in failed)
 
 
 def test_fusion_equal_points_rejected(capsys):

@@ -49,6 +49,7 @@ def test_build_irrep_validation():
         build_irrep(Weight(3, (4, 4)), 100)
     assert exc.value.dim == 125
     assert exc.value.cap == 100
+    assert str(exc.value) == "V(4,4) has dimension 125, above the construction cap 100"
 
 
 def test_build_irrep_one_cache_key():
