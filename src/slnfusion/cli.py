@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .cases import verify_case
 from .dyck import (
@@ -42,6 +41,13 @@ def _parse_weight(parser: argparse.ArgumentParser, n: int, text: str, flag: str)
     if any(c < 0 for c in coords):
         parser.error(f"{flag}: coordinates must be nonnegative, got {text!r}")
     return Weight(n, coords)
+
+
+def _require_nonnegative(parser: argparse.ArgumentParser, args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            parser.error(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
 
 
 def _resolve_cap(args) -> int:
@@ -135,8 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", required=True)
     p.add_argument("--m", required=True)
-    p.add_argument("--c1", type=Fraction, default=Fraction(0))
-    p.add_argument("--c2", type=Fraction, default=Fraction(1))
     p.add_argument("--cap", type=int, default=None, help=f"dimension cap (or ${CAP_ENV_VAR})")
 
     p = add("poset", "two-part splitting poset of a dominant weight")
@@ -257,6 +261,9 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             n_values = tuple(int(v) for v in args.n_values.split(","))
         except ValueError:
             parser.error(f"--n-values: expected comma-separated ranks, got {args.n_values!r}")
+        if any(n < 2 for n in n_values):
+            parser.error(f"--n-values: ranks must be at least 2, got {args.n_values!r}")
+        _require_nonnegative(parser, args, "m_max", "coord_max", "k_max")
         reports = verify_case(
             args.tag,
             m_max=args.m_max,
@@ -279,15 +286,10 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     if args.command == "fusion":
         lam = _parse_weight(parser, args.n, args.l, "--l")
         mu = _parse_weight(parser, args.n, args.m, "--m")
-        if args.c1 == args.c2:
-            parser.error("--c1 and --c2 must be distinct")
         cap = _resolve_cap(args)
-        graded = fusion_graded(
-            build_irrep(lam, cap), args.c1, build_irrep(mu, cap), args.c2
-        )
-        lines = [
-            f"fusion V{lam} (x) V{mu} [n={args.n}] at points {args.c1}, {args.c2}"
-        ]
+        # for two factors the grading does not depend on the evaluation points
+        graded = fusion_graded(build_irrep(lam, cap), 0, build_irrep(mu, cap), 1)
+        lines = [f"fusion V{lam} (x) V{mu} [n={args.n}]"]
         for s, dm in graded.slices():
             terms = ", ".join(
                 (f"{m} x " if m > 1 else "") + f"V{tau}" for tau, m in dm.items_sorted()
@@ -328,6 +330,9 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         return 0
 
     if args.command == "verify":
+        if args.n_max < 2:
+            parser.error(f"--n-max must be at least 2, got {args.n_max}")
+        _require_nonnegative(parser, args, "coord_max")
         cap = _resolve_cap(args)
         results = run_all(n_max=args.n_max, coord_max=args.coord_max, dim_cap=cap)
         payload = [

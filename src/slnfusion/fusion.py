@@ -350,10 +350,7 @@ class GradedDecomposition:
             "lambda1": self.lambda1.to_json(),
             "lambda2": self.lambda2.to_json(),
             "slices": [
-                {"degree": s, "terms": [
-                    {"tau": tau.to_json(), "mult": m} for tau, m in dm.items_sorted()
-                ]}
-                for s, dm in self.slices()
+                {"degree": s, "terms": dm.to_json()["terms"]} for s, dm in self.slices()
             ],
         }
 
@@ -363,8 +360,9 @@ class GradedDecomposition:
         entries: dict[tuple[int, Weight], int] = {}
         for sl in data["slices"]:
             s = int(sl["degree"])
-            for term in sl["terms"]:
-                entries[(s, Weight(n, tuple(term["tau"])))] = int(term["mult"])
+            dm = DecompositionMap.from_json({"n": n, "terms": sl["terms"]})
+            for tau, m in dm.items_sorted():
+                entries[(s, tau)] = m
         return cls(
             n=n,
             lambda1=Weight(n, tuple(data["lambda1"])),

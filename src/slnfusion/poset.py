@@ -27,9 +27,6 @@ __all__ = [
     "enumerate_pairs",
     "order_leq",
     "maximal_pair",
-    "SchurComparison",
-    "SchurMonotonicityReport",
-    "schur_monotonicity_check",
     "WeylModulePrediction",
     "weyl_character_prediction",
     "PosetReport",
@@ -123,61 +120,7 @@ def maximal_pair(lam: Weight) -> WeightPair:
             # j-th odd coordinate gets (m + (-1)^j) / 2
             half.append((m + (-1) ** odd_seen) // 2)
     mu = Weight(lam.n, half)
-    pair = WeightPair(mu, lam - mu)
-    if not (pair.first.is_dominant and pair.second.is_dominant):
-        raise AssertionError(
-            f"maximal pair ({pair.first}, {pair.second}) of {lam} is not dominant"
-        )
-    return pair
-
-
-@dataclass(frozen=True)
-class SchurComparison:
-    """One comparable pair of poset elements and the sign analysis of the
-    higher-minus-lower product difference."""
-
-    low: WeightPair
-    high: WeightPair
-    nonnegative: bool
-    negative_terms: tuple[tuple[Weight, int], ...]
-
-
-@dataclass(frozen=True)
-class SchurMonotonicityReport:
-    lam: Weight
-    comparisons: tuple[SchurComparison, ...]
-
-    @property
-    def all_nonnegative(self) -> bool:
-        return all(c.nonnegative for c in self.comparisons)
-
-    def counterexamples(self) -> list[SchurComparison]:
-        return [c for c in self.comparisons if not c.nonnegative]
-
-
-def schur_monotonicity_check(lam: Weight) -> SchurMonotonicityReport:
-    """For every strictly comparable pair A < B in the poset of lam, expand
-    product(B) - product(A) in the irreducible basis and record whether all
-    coefficients are nonnegative (higher pair minus lower pair; the minimum
-    element's product occurs in every other product, fixing the direction)."""
-    nodes = enumerate_pairs(lam)
-    comparisons = []
-    for low, high in itertools.permutations(nodes, 2):
-        if not order_leq(low, high):
-            continue
-        diff = schur_product_diff((high.first, high.second), (low.first, low.second))
-        negatives = tuple(
-            (tau, m) for tau, m in diff.items_sorted() if m < 0
-        )
-        comparisons.append(
-            SchurComparison(
-                low=low,
-                high=high,
-                nonnegative=diff.nonnegative,
-                negative_terms=negatives,
-            )
-        )
-    return SchurMonotonicityReport(lam=lam, comparisons=tuple(comparisons))
+    return WeightPair(mu, lam - mu)
 
 
 @dataclass(frozen=True)
@@ -201,10 +144,7 @@ class WeylModulePrediction:
             "n": self.lam.n,
             "lambda": self.lam.to_json(),
             "max_pair": self.max_pair.to_json(),
-            "terms": [
-                {"tau": tau.to_json(), "mult": m}
-                for tau, m in self.character.items_sorted()
-            ],
+            "terms": self.character.to_json()["terms"],
             "dim": self.dimension,
             "proven_regime": self.proven_regime,
             "conjectural": self.conjectural,
@@ -215,13 +155,10 @@ class WeylModulePrediction:
         n = int(data["n"])
         lam = Weight(n, tuple(data["lambda"]))
         pair = WeightPair.from_json(n, data["max_pair"])
-        terms = {
-            Weight(n, tuple(t["tau"])): int(t["mult"]) for t in data["terms"]
-        }
         return cls(
             lam=lam,
             max_pair=pair,
-            character=DecompositionMap(n, terms),
+            character=DecompositionMap.from_json({"n": n, "terms": data["terms"]}),
             dimension=int(data["dim"]),
             proven_regime=data["proven_regime"],
         )
@@ -289,22 +226,20 @@ class PosetReport:
 
 def poset_report(lam: Weight) -> PosetReport:
     """Full poset snapshot: cover edges only (transitive reduction), each
-    cover labeled with the sign of its Schur product difference."""
+    cover labeled with the sign of its Schur product difference.
+
+    `order_leq` runs once per ordered pair of nodes; the strict order, the
+    covers and the extremal-element assertions all read that one matrix."""
     nodes = enumerate_pairs(lam)
     k = len(nodes)
-    strictly_below = [
-        [
-            a != b and order_leq(nodes[a], nodes[b]) and not order_leq(nodes[b], nodes[a])
-            for b in range(k)
-        ]
-        for a in range(k)
-    ]
+    leq = [[order_leq(nodes[a], nodes[b]) for b in range(k)] for a in range(k)]
+    below = [[leq[a][b] and not leq[b][a] for b in range(k)] for a in range(k)]
     edges = []
     for a in range(k):
         for b in range(k):
-            if not strictly_below[a][b]:
+            if not below[a][b]:
                 continue
-            if any(strictly_below[a][c] and strictly_below[c][b] for c in range(k)):
+            if any(below[a][c] and below[c][b] for c in range(k)):
                 continue
             diff = schur_product_diff(
                 (nodes[b].first, nodes[b].second), (nodes[a].first, nodes[a].second)
@@ -312,9 +247,10 @@ def poset_report(lam: Weight) -> PosetReport:
             edges.append((a, b, diff.nonnegative))
     min_pair = WeightPair(lam, Weight.zero(lam.n))
     max_pair = maximal_pair(lam)
-    if not all(order_leq(min_pair, p) for p in nodes):
+    low, top = nodes.index(min_pair), nodes.index(max_pair)
+    if not all(leq[low]):
         raise AssertionError(f"({lam}, 0) is not the minimum of the poset of {lam}")
-    if not all(order_leq(p, max_pair) for p in nodes):
+    if not all(row[top] for row in leq):
         raise AssertionError(
             f"({max_pair.first}, {max_pair.second}) is not the maximum "
             f"of the poset of {lam}"

@@ -30,7 +30,7 @@ from .poset import (
     enumerate_pairs,
     maximal_pair,
     order_leq,
-    schur_monotonicity_check,
+    poset_report,
     weyl_character_prediction,
 )
 from .tensor import lr_coefficients
@@ -46,7 +46,6 @@ __all__ = [
     "check_ffol",
     "check_fusion",
     "check_poset",
-    "check_schur",
     "check_weyl",
     "run_all",
 ]
@@ -224,16 +223,27 @@ def check_fusion(dim_cap: int = DEFAULT_DIM_CAP):
     return [(f"{len(pairs)} pairs", oracle), (f"{len(pairs)} pairs", sandwich)]
 
 
-@_check("poset-axioms")
+@_check("poset-axioms", "schur-positivity")
 def check_poset(n_max: int = 4, coord_max: int = 3):
-    """Partial-order axioms, extremal elements, and polytope nesting on every
-    poset in the sweep.
+    """Criteria 8 and 9 in one pass over the posets of the sweep; both
+    results report that pass's time.
 
-    Nesting is certified entrywise on bound vectors for every comparable pair
-    (the inequality system is monotone in its right-hand sides), and verified
-    on materialized point sets for the smaller instances."""
+    - poset-axioms: on the `order_leq` matrix of each poset, the order is
+      reflexive, antisymmetric and transitive, (lam, 0) is the unique
+      minimum, the maximal-pair formula gives the unique maximum, and the
+      lattice-point sets of comparable pairs nest (materialized on the
+      smaller instances).
+    - schur-positivity: the Schur product difference (higher minus lower) of
+      every cover relation of `poset_report` is nonnegative.  This covers
+      every comparable pair: for A < C there is a chain of covers
+      A = x0 < x1 < ... < xm = C, and lr(C) - lr(A) is the sum of the
+      cover differences lr(x_{i+1}) - lr(x_i).  The two verdicts could
+      differ only if antisymmetry failed, which poset-axioms checks.  A
+      failure is a negative difference: a research finding, not a bug in
+      the check."""
     weights = _weights(n_max, coord_max)
-    bad = []
+    bad, negative = [], []
+    covers = 0
     for lam in weights:
         n = lam.n
         nodes = enumerate_pairs(lam)
@@ -255,39 +265,27 @@ def check_poset(n_max: int = 4, coord_max: int = 3):
         maxs = [a for a in range(k) if all(leq[b][a] for b in range(k))]
         if len(maxs) != 1 or nodes[maxs[0]] != maximal_pair(lam):
             bad.append(("maximum", n, lam.coords, maxs))
-        materialize = n <= 3 or max(lam.coords) <= 2
-        point_sets: dict[int, frozenset] = {}
-
-        def points_of(idx: int) -> frozenset:
-            if idx not in point_sets:
-                point_sets[idx] = frozenset(lattice_points(nodes[idx].min_vector))
-            return point_sets[idx]
-
-        for a in range(k):
-            for b in range(k):
-                if not leq[a][b]:
-                    continue
-                if not nodes[a].min_vector.leq(nodes[b].min_vector):
-                    bad.append(("bound-nesting", n, lam.coords, a, b))
-                elif materialize and a != b:
-                    if not points_of(a) <= points_of(b):
+        if n <= 3 or max(lam.coords) <= 2:
+            points = [frozenset(lattice_points(p.min_vector)) for p in nodes]
+            for a in range(k):
+                for b in range(k):
+                    if a != b and leq[a][b] and not points[a] <= points[b]:
                         bad.append(("point-nesting", n, lam.coords, a, b))
-    return f"{len(weights)} posets", bad
-
-
-@_check("schur-positivity")
-def check_schur(n_max: int = 4, coord_max: int = 3):
-    """Schur-positivity of higher-minus-lower product differences along the
-    order, over the same sweep as the poset axioms.  A failure is a negative
-    difference: a research finding, not a bug in the check."""
-    comparisons = 0
-    bad = []
-    for lam in _weights(n_max, coord_max):
-        report = schur_monotonicity_check(lam)
-        comparisons += len(report.comparisons)
-        for c in report.counterexamples():
-            bad.append(("negative", lam.n, lam.coords, str(c.low), str(c.high)))
-    return f"{comparisons} comparable pairs", bad
+        try:
+            report = poset_report(lam)
+        except AssertionError as exc:  # its extremal elements are wrong
+            bad.append(("report", n, lam.coords, str(exc)))
+            continue
+        covers += len(report.edges)
+        for a, b, positive in report.edges:
+            if not positive:
+                negative.append(
+                    ("negative", n, lam.coords, str(report.nodes[a]), str(report.nodes[b]))
+                )
+    return [
+        (f"{len(weights)} posets", bad),
+        (f"{covers} cover relations", negative),
+    ]
 
 
 @_check("weyl-prediction")
@@ -321,7 +319,6 @@ def run_all(
         check_large(),
         check_ffol(n_max=n_max, coord_max=coord_max),
         *check_fusion(dim_cap=dim_cap),
-        check_poset(n_max=n_max, coord_max=coord_max),
-        check_schur(n_max=n_max, coord_max=coord_max),
+        *check_poset(n_max=n_max, coord_max=coord_max),
         check_weyl(n_max=n_max, coord_max=coord_max, dim_cap=dim_cap),
     ]

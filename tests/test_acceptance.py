@@ -10,7 +10,6 @@ from slnfusion.suite import (
     check_pieri,
     check_poset,
     check_rectangular,
-    check_schur,
     check_sl2,
     check_weyl,
 )
@@ -29,6 +28,12 @@ def report(result, budget=None):
 def fusion_sweep():
     # criteria 6 and 7 share one pass over the fusion sweep
     return check_fusion()
+
+
+@pytest.fixture(scope="module")
+def poset_sweep():
+    # criteria 8 and 9 share one pass over the posets of the sweep
+    return check_poset(n_max=4, coord_max=3)
 
 
 def test_criterion_01_sl2():
@@ -61,12 +66,14 @@ def test_criterion_07_sandwich(fusion_sweep):
     report(sandwich)
 
 
-def test_criterion_08_poset():
-    report(check_poset(n_max=4, coord_max=3))
+def test_criterion_08_poset(poset_sweep):
+    axioms, _ = poset_sweep
+    report(axioms)
 
 
-def test_criterion_09_schur_positivity():
-    report(check_schur(n_max=4, coord_max=3))
+def test_criterion_09_schur_positivity(poset_sweep):
+    _, schur = poset_sweep
+    report(schur)
 
 
 def test_criterion_10_weyl_prediction():

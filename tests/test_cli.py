@@ -150,10 +150,29 @@ def test_verify_cap_reaches_fusion_sweep(capsys):
     assert all(entry["detail"] == cap_detail for entry in failed)
 
 
-def test_fusion_equal_points_rejected(capsys):
+def test_fusion_has_no_point_flags(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["fusion", "--n", "2", "--l", "2", "--m", "1", "--c1", "1", "--c2", "1"])
+        main(["fusion", "--n", "2", "--l", "2", "--m", "1", "--c1", "1/2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "1"],
+        ["verify", "--coord-max", "-1"],
+        ["case", "--tag", "rectangular", "--n-values", "3,1"],
+        ["case", "--tag", "large", "--coord-max", "-1"],
+        ["case", "--tag", "sl2", "--m-max", "-1"],
+        ["case", "--tag", "pieri-row", "--k-max", "-1"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}",
+)
+def test_sweep_limits_that_check_nothing_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_poset_json_round_trip(capsys):

@@ -1,8 +1,9 @@
-"""Two-part splitting posets, Schur monotonicity, Weyl predictions."""
+"""Two-part splitting posets, their cover relations, Weyl predictions."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slnfusion.dyck import bounds_from_pair
 from slnfusion.poset import (
@@ -13,10 +14,9 @@ from slnfusion.poset import (
     maximal_pair,
     order_leq,
     poset_report,
-    schur_monotonicity_check,
     weyl_character_prediction,
 )
-from slnfusion.tensor import lr_coefficients
+from slnfusion.tensor import lr_coefficients, schur_product_diff
 from slnfusion.typea import Weight, pairing, positive_roots, weyl_dim
 
 
@@ -138,17 +138,6 @@ def test_minimum_element():
             assert order_leq(bottom, p)
 
 
-def test_schur_monotonicity_check():
-    report = schur_monotonicity_check(Weight(2, (4,)))
-    assert report.all_nonnegative
-    assert len(report.comparisons) == 3
-    for comparison in report.comparisons:
-        assert comparison.negative_terms == ()
-    report = schur_monotonicity_check(Weight(3, (2, 1)))
-    assert report.all_nonnegative
-    assert report.counterexamples() == []
-
-
 def test_weyl_prediction_frozen():
     pred = weyl_character_prediction(Weight(2, (2,)))
     assert (pred.max_pair.first.coords, pred.max_pair.second.coords) == ((1,), (1,))
@@ -201,10 +190,19 @@ def test_poset_report_frozen():
     )
 
 
-def test_poset_report_edges_are_covers():
-    report = poset_report(Weight(3, (2, 2)))
+@st.composite
+def small_dominant_weights(draw):
+    n = draw(st.integers(2, 4))
+    coords = draw(st.tuples(*[st.integers(0, 3)] * (n - 1)))
+    return Weight(n, coords)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dominant_weights())
+def test_poset_report_edges_are_covers(lam):
+    report = poset_report(lam)
     nodes = report.nodes
-    index = {p: i for i, p in enumerate(nodes)}
+    assert list(nodes) == enumerate_pairs(lam)
     strict = {
         (a, b)
         for a in range(len(nodes))
@@ -213,21 +211,18 @@ def test_poset_report_edges_are_covers():
         and order_leq(nodes[a], nodes[b])
         and not order_leq(nodes[b], nodes[a])
     }
-    edge_set = {(a, b) for a, b, _ in report.edges}
-    assert edge_set <= strict
-    for a, b in strict:
-        witnesses = [
-            c
-            for c in range(len(nodes))
-            if (a, c) in strict and (c, b) in strict
-        ]
-        if witnesses:
-            assert (a, b) not in edge_set
-        else:
-            assert (a, b) in edge_set
-    assert index[report.min_pair] in {a for a, _, _ in report.edges} | {
-        b for _, b, _ in report.edges
+    covers = {
+        (a, b)
+        for a, b in strict
+        if not any((a, c) in strict and (c, b) in strict for c in range(len(nodes)))
     }
+    assert [(a, b) for a, b, _ in report.edges] == sorted(covers)
+    for a, b, positive in report.edges:
+        low, high = nodes[a], nodes[b]
+        diff = schur_product_diff((high.first, high.second), (low.first, low.second))
+        assert positive == diff.nonnegative
+    assert report.min_pair == nodes[0] == WeightPair(lam, Weight.zero(lam.n))
+    assert report.max_pair == maximal_pair(lam)
 
 
 def test_poset_report_json():

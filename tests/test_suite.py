@@ -1,7 +1,14 @@
 """How `run_all` hands its sweep limits to the checks, and what the checks
 catch."""
 
-from slnfusion import suite
+import itertools
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from slnfusion import poset, suite
+from slnfusion.dyck import bounds_from_pair
 from slnfusion.fusion import GradedDecomposition
 
 
@@ -21,6 +28,7 @@ def test_run_all_forwards_limits(monkeypatch):
         if name.startswith("check_"):
             monkeypatch.setattr(suite, name, recorder(name))
     monkeypatch.setattr(suite, "check_fusion", recorder("check_fusion", results=2))
+    monkeypatch.setattr(suite, "check_poset", recorder("check_poset", results=2))
     results = suite.run_all(n_max=3, coord_max=1, dim_cap=50)
     assert len(results) == 10
     assert calls == {
@@ -31,7 +39,6 @@ def test_run_all_forwards_limits(monkeypatch):
         "check_ffol": {"n_max": 3, "coord_max": 1},
         "check_fusion": {"dim_cap": 50},
         "check_poset": {"n_max": 3, "coord_max": 1},
-        "check_schur": {"n_max": 3, "coord_max": 1},
         "check_weyl": {"n_max": 3, "coord_max": 1, "dim_cap": 50},
     }
 
@@ -68,3 +75,45 @@ def test_check_sl2_meets_the_cap():
     assert result.detail == (
         "dimension cap exceeded: V(6) has dimension 7, above the construction cap 6"
     )
+
+
+def schur_reference(n_max, coord_max):
+    """Criterion 9 from its definition: the Schur product difference of every
+    comparable pair A < C, not only of the covers, is nonnegative."""
+    for lam in suite._weights(n_max, coord_max):
+        for low, high in itertools.permutations(poset.enumerate_pairs(lam), 2):
+            if not poset.order_leq(low, high):
+                continue
+            diff = poset.schur_product_diff(
+                (high.first, high.second), (low.first, low.second)
+            )
+            if not diff.nonnegative:
+                return False
+    return True
+
+
+def test_schur_positivity_matches_all_pairs_reference():
+    axioms, schur = suite.check_poset(n_max=3, coord_max=2)
+    assert axioms.passed and schur.passed
+    assert schur_reference(n_max=3, coord_max=2)
+    # the sl_2 poset of (m) is a chain of m // 2 covers (1 in all); the
+    # sl_3 posets hold 13
+    assert schur.detail == "14 cover relations"
+
+
+@settings(max_examples=25, deadline=None)
+@given(weights=st.lists(st.integers(-2, 3), min_size=3, max_size=3))
+def test_schur_positivity_verdict_for_additive_products(weights):
+    # replace the product by a linear functional of the min-vector: any such
+    # product difference adds up along chains of covers, as lr does, but its
+    # signs vary with the draw, so both verdicts get exercised
+    def value(pair):
+        return sum(w * v for w, v in zip(weights, bounds_from_pair(*pair).values))
+
+    def fake_diff(pair_high, pair_low):
+        return SimpleNamespace(nonnegative=value(pair_high) >= value(pair_low))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poset, "schur_product_diff", fake_diff)
+        _, schur = suite.check_poset(n_max=3, coord_max=2)
+        assert schur.passed == schur_reference(n_max=3, coord_max=2)
