@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cases import verify_case
@@ -28,7 +27,28 @@ from .suite import run_all
 from .tensor import DecompositionMap, lr_coefficients
 from .typea import Weight, weyl_dim
 
-CAP_ENV_VAR = "SLNFUSION_DIM_CAP"
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_rank = _int_at_least(2)
+_nonnegative = _int_at_least(0)
+
+
+def _ranks(text: str) -> tuple[int, ...]:
+    return tuple(_rank(v) for v in text.split(","))
 
 
 def _parse_weight(parser: argparse.ArgumentParser, n: int, text: str, flag: str) -> Weight:
@@ -41,25 +61,6 @@ def _parse_weight(parser: argparse.ArgumentParser, n: int, text: str, flag: str)
     if any(c < 0 for c in coords):
         parser.error(f"{flag}: coordinates must be nonnegative, got {text!r}")
     return Weight(n, coords)
-
-
-def _require_nonnegative(parser: argparse.ArgumentParser, args, *names: str) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if value < 0:
-            parser.error(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
-
-
-def _resolve_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"ignoring non-integer {CAP_ENV_VAR}={env!r}", file=sys.stderr)
-    return DEFAULT_DIM_CAP
 
 
 def _emit(args, payload, text_lines) -> None:
@@ -104,25 +105,35 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json"), default="text")
+        # errors found after parsing are reported with this subcommand's usage
+        p.set_defaults(command_parser=p)
         return p
 
+    def add_cap(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--cap",
+            type=_int_at_least(1),
+            default=DEFAULT_DIM_CAP,
+            help=f"dimension cap on each module built (default {DEFAULT_DIM_CAP})",
+        )
+
     p = add("lr", "tensor product decomposition of V(l) (x) V(m)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--l", required=True, help="first weight, comma-separated coordinates")
     p.add_argument("--m", required=True, help="second weight")
 
     p = add("dyck", "Dyck paths and the pruned inequality system")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--no-prune", action="store_true", help="show the full system")
 
     p = add("points", "lattice points for a weight pair or explicit bounds")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--l", help="first weight (with --m)")
     p.add_argument("--m", help="second weight (with --l)")
     p.add_argument("--bounds", help="explicit bound vector, root order, comma-separated")
 
     p = add("hw-candidates", "lattice points whose shifted weight is dominant")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--l", required=True)
     p.add_argument("--m", required=True)
 
@@ -132,29 +143,29 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("sl2", "rectangular", "pieri-row", "pieri-column", "large"),
     )
-    p.add_argument("--m-max", type=int, default=3)
-    p.add_argument("--n-values", default="3,4", help="comma-separated ranks")
-    p.add_argument("--coord-max", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=3)
+    p.add_argument("--m-max", type=_nonnegative, default=3)
+    p.add_argument("--n-values", type=_ranks, default="3,4", help="comma-separated ranks")
+    p.add_argument("--coord-max", type=_nonnegative, default=2)
+    p.add_argument("--k-max", type=_nonnegative, default=3)
 
     p = add("fusion", "graded fusion product of V(l) and V(m)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--l", required=True)
     p.add_argument("--m", required=True)
-    p.add_argument("--cap", type=int, default=None, help=f"dimension cap (or ${CAP_ENV_VAR})")
+    add_cap(p)
 
     p = add("poset", "two-part splitting poset of a dominant weight")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--l", required=True)
 
     p = add("weyl", "truncated Weyl module character prediction")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.add_argument("--l", required=True)
 
     p = add("verify", "run the full acceptance battery")
-    p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--coord-max", type=int, default=3)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--n-max", type=_rank, default=4)
+    p.add_argument("--coord-max", type=_nonnegative, default=3)
+    add_cap(p)
 
     return parser
 
@@ -163,7 +174,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(parser, args)
+        return _dispatch(args.command_parser, args)
     except DimensionCapError as exc:
         print(f"dimension cap exceeded: {exc} (dim={exc.dim}, cap={exc.cap})", file=sys.stderr)
         return 1
@@ -181,8 +192,6 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         return 0
 
     if args.command == "dyck":
-        if args.n < 2:
-            parser.error("--n must be at least 2")
         paths = dyck_paths(args.n)
         system = inequalities(args.n, prune=not args.no_prune)
         payload = {
@@ -257,17 +266,10 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         return 0
 
     if args.command == "case":
-        try:
-            n_values = tuple(int(v) for v in args.n_values.split(","))
-        except ValueError:
-            parser.error(f"--n-values: expected comma-separated ranks, got {args.n_values!r}")
-        if any(n < 2 for n in n_values):
-            parser.error(f"--n-values: ranks must be at least 2, got {args.n_values!r}")
-        _require_nonnegative(parser, args, "m_max", "coord_max", "k_max")
         reports = verify_case(
             args.tag,
             m_max=args.m_max,
-            n_values=n_values,
+            n_values=args.n_values,
             coord_max=args.coord_max,
             k_max=args.k_max,
         )
@@ -286,9 +288,10 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     if args.command == "fusion":
         lam = _parse_weight(parser, args.n, args.l, "--l")
         mu = _parse_weight(parser, args.n, args.m, "--m")
-        cap = _resolve_cap(args)
         # for two factors the grading does not depend on the evaluation points
-        graded = fusion_graded(build_irrep(lam, cap), 0, build_irrep(mu, cap), 1)
+        graded = fusion_graded(
+            build_irrep(lam, args.cap), 0, build_irrep(mu, args.cap), 1
+        )
         lines = [f"fusion V{lam} (x) V{mu} [n={args.n}]"]
         for s, dm in graded.slices():
             terms = ", ".join(
@@ -330,11 +333,7 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         return 0
 
     if args.command == "verify":
-        if args.n_max < 2:
-            parser.error(f"--n-max must be at least 2, got {args.n_max}")
-        _require_nonnegative(parser, args, "coord_max")
-        cap = _resolve_cap(args)
-        results = run_all(n_max=args.n_max, coord_max=args.coord_max, dim_cap=cap)
+        results = run_all(n_max=args.n_max, coord_max=args.coord_max, dim_cap=args.cap)
         payload = [
             {
                 "name": r.name,

@@ -1,9 +1,12 @@
 """Explicit sl_n modules and graded fusion products of two factors.
 
-`build_irrep` realizes V(lambda) as the cyclic span of the top vector inside
-a tensor product of fundamental modules (k-th exterior powers of the vector
-representation, with k-subsets of {1..n} as basis), producing exact rational
-generator matrices.  `fusion_graded` then filters V(lambda1) (x) V(lambda2),
+`build_irrep` realizes V(lambda) with exact rational generator matrices, as
+the cyclic span of the top vector inside V(omega_k) (x) V(lambda - omega_k),
+k the largest index with lambda_k > 0.  V(omega_k) is the k-th exterior
+power of the vector representation, with the k-subsets of {1..n} as basis;
+V(lambda - omega_k) comes from the same construction.  `_tensor_columns`
+is the one action x (x) 1 + 1 (x) x of a generator on a two-factor tensor
+product.  `fusion_graded` then filters V(lambda1) (x) V(lambda2),
 viewed as a two-point evaluation module over the current algebra at distinct
 points c1 and c2, by polynomial degree.  v1 (x) v2 generates it under
 U(n^-[t]) and t^2 acts through t and 1, so the degree-s piece is
@@ -16,9 +19,9 @@ Successive differences of the per-weight dimensions are genuine module
 characters; `peel_character` decomposes each into irreducibles, giving the
 graded decomposition.
 
-Every step is a weight-space-local row reduction in plain integers (the
-lowering operators are scaled to integer matrices once), which is what keeps
-near-10^4-dimensional tensor products tractable here.
+Every step of the filtration is a weight-space-local row reduction in plain
+integers (the lowering operators are scaled to integer matrices once), which
+is what keeps near-10^4-dimensional tensor products tractable here.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -64,77 +67,51 @@ class DimensionCapError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Fundamental modules and their tensor products.
+# Explicit modules.
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _fundamental_factor(n: int, k: int):
-    """Basis (k-subsets in lexicographic order), weights, and single-entry
-    generator maps of the k-th fundamental module of sl_n."""
+def _apply(cols, vec: Mapping) -> dict:
+    """Image of a sparse vector under a matrix stored column-wise: cols[i]
+    lists the (row, value) entries of column i.  Zero entries are dropped."""
+    out: dict = {}
+    for i, v in vec.items():
+        for r, c in cols[i]:
+            out[r] = out.get(r, 0) + c * v
+    return {r: c for r, c in out.items() if c}
+
+
+def _tensor_columns(cols1, cols2) -> list:
+    """Columns of x (x) 1 + 1 (x) x on V1 (x) V2 (flat index a * d2 + b)
+    from the columns of x on V1 and on V2; empty columns for V1 give
+    1 (x) x alone."""
+    d2 = len(cols2)
+    return [
+        [(r * d2 + b, c) for r, c in col1] + [(a * d2 + r, c) for r, c in cols2[b]]
+        for a, col1 in enumerate(cols1)
+        for b in range(d2)
+    ]
+
+
+def _exterior_power(n: int, k: int):
+    """Columns of e_a and f_a (entries 1) on the k-th fundamental module of
+    sl_n, with the k-subsets of {1..n} in lexicographic order as basis:
+    f_a replaces a by a+1 and e_a replaces a+1 by a.  Index 0 is {1..k}, of
+    weight omega_k."""
     subsets = list(itertools.combinations(range(1, n + 1), k))
-    index = {s: a for a, s in enumerate(subsets)}
-    weights = tuple(
-        Weight.from_parts(n, [1 if i in s else 0 for i in range(1, n + 1)])
-        for s in subsets
-    )
-    e_maps = []
-    f_maps = []
-    for a in range(1, n):
-        e_map: dict[int, int] = {}
-        f_map: dict[int, int] = {}
-        for s in subsets:
-            if a in s and a + 1 not in s:
-                f_map[index[s]] = index[tuple(sorted(set(s) - {a} | {a + 1}))]
-            if a + 1 in s and a not in s:
-                e_map[index[s]] = index[tuple(sorted(set(s) - {a + 1} | {a}))]
-        e_maps.append(e_map)
-        f_maps.append(f_map)
-    return len(subsets), weights, tuple(e_maps), tuple(f_maps)
+    index = {s: i for i, s in enumerate(subsets)}
 
+    def moved(old: int, new: int):
+        return [
+            [(index[tuple(sorted(set(s) - {old} | {new}))], 1)]
+            if old in s and new not in s
+            else []
+            for s in subsets
+        ]
 
-class _Ambient:
-    """Tensor product of fundamental factors, addressed by mixed-radix flat
-    indices; factors appear in descending node order."""
-
-    def __init__(self, lam: Weight):
-        self.n = lam.n
-        factors = []
-        for k in range(lam.n - 1, 0, -1):
-            factors.extend([_fundamental_factor(lam.n, k)] * lam.coords[k - 1])
-        self.factors = factors
-        self.strides = [0] * len(factors)
-        acc = 1
-        for pos in range(len(factors) - 1, -1, -1):
-            self.strides[pos] = acc
-            acc *= factors[pos][0]
-        self.dim = acc
-        self._locals: dict[int, tuple[int, ...]] = {}
-
-    def decode(self, idx: int) -> tuple[int, ...]:
-        locs = self._locals.get(idx)
-        if locs is None:
-            rest = idx
-            out = []
-            for stride in self.strides:
-                loc, rest = divmod(rest, stride)
-                out.append(loc)
-            locs = tuple(out)
-            self._locals[idx] = locs
-        return locs
-
-    def apply(self, which: str, a: int, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Leibniz action of e_a / f_a across the factors."""
-        sel = 2 if which == "e" else 3
-        out: dict[int, Fraction] = {}
-        for idx, val in vec.items():
-            locs = self.decode(idx)
-            for pos, factor in enumerate(self.factors):
-                tgt = factor[sel][a - 1].get(locs[pos])
-                if tgt is not None:
-                    j = idx + (tgt - locs[pos]) * self.strides[pos]
-                    out[j] = out.get(j, 0) + val
-        return {k: v for k, v in out.items() if v}
+    e = tuple(moved(a + 1, a) for a in range(1, n))
+    f = tuple(moved(a, a + 1) for a in range(1, n))
+    return e, f
 
 
 @dataclass(eq=False)
@@ -162,12 +139,7 @@ class ExplicitModule:
         if which == "h":
             diag = self.h[k - 1]
             return {i: v * diag[i] for i, v in vec.items() if v and diag[i]}
-        cols = (self.e if which == "e" else self.f)[k - 1]
-        out: dict[int, Fraction] = {}
-        for i, v in vec.items():
-            for r, c in cols[i]:
-                out[r] = out.get(r, 0) + c * v
-        return {i: v for i, v in out.items() if v}
+        return _apply((self.e if which == "e" else self.f)[k - 1], vec)
 
     def weight_space_dims(self) -> dict[Weight, int]:
         dims: dict[Weight, int] = {}
@@ -193,9 +165,28 @@ def build_irrep(lam: Weight, cap: int = DEFAULT_DIM_CAP) -> ExplicitModule:
 
 @lru_cache(maxsize=None)
 def _build_irrep(lam: Weight) -> ExplicitModule:
-    dim = weyl_dim(lam)
+    """V(lam) as the cyclic span of the top vector (index 0) of
+    V(omega_k) (x) V(lam - omega_k), k the largest index with lam_k > 0.  The
+    first factor is `_exterior_power(n, k)`; the second is built the same
+    way, down to the line V(0).  With the exterior power leading the flat
+    index, the pivots (lowest indices) give generator matrices with small
+    entries, which keeps the integer row reduction of `fusion_graded` cheap.
+
+    The top vector v (x) v' is a highest-weight vector of weight lam in a
+    finite-dimensional module, so it generates a copy of V(lam), and lam has
+    multiplicity one there.  The Weyl dimension grows with each coordinate,
+    so every factor of the recursion is no larger than V(lam), and the cap
+    on V(lam) bounds them all."""
     n = lam.n
-    amb = _Ambient(lam)
+    nonzero = [k for k in range(1, n) if lam.coords[k - 1]]
+    if nonzero:
+        k = nonzero[-1]
+        rest = _build_irrep(lam - Weight.fundamental(n, k))
+        ext_e, ext_f = _exterior_power(n, k)
+        e_cols = [_tensor_columns(ext_e[a], rest.e[a]) for a in range(n - 1)]
+        f_cols = [_tensor_columns(ext_f[a], rest.f[a]) for a in range(n - 1)]
+    else:
+        e_cols = f_cols = [[()]] * (n - 1)
     alphas = [simple_root_weight(n, k) for k in range(1, n)]
 
     spaces: dict[Weight, RationalRowBasis] = {lam: RationalRowBasis()}
@@ -204,7 +195,7 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
     while queue:
         w, row = queue.popleft()
         for k in range(1, n):
-            img = amb.apply("f", k, row)
+            img = _apply(f_cols[k - 1], row)
             if not img:
                 continue
             tw = w - alphas[k - 1]
@@ -214,6 +205,7 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
                 # snapshot: stored rows mutate later under back-elimination
                 queue.append((tw, dict(stored)))
 
+    dim = weyl_dim(lam)
     total = sum(sp.dimension for sp in spaces.values())
     if total != dim:
         raise AssertionError(
@@ -233,26 +225,23 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
     if weights[0] != lam:
         raise AssertionError("highest-weight vector is not basis vector 0")
 
-    def matrix(which: str, k: int):
-        cols = []
-        shift = alphas[k - 1] if which == "e" else -alphas[k - 1]
+    def matrix(cols, shift: Weight):
+        out = []
         for w, p in flat:
-            img = amb.apply(which, k, spaces[w].row(p))
+            img = _apply(cols, spaces[w].row(p))
             if not img:
-                cols.append(())
+                out.append(())
                 continue
             tw = w + shift
             target = spaces.get(tw)
             if target is None:
                 raise AssertionError("generator image escaped the module")
             coords = target.coordinates(img)
-            cols.append(
-                tuple(sorted((gidx[(tw, q)], c) for q, c in coords.items()))
-            )
-        return tuple(cols)
+            out.append(tuple(sorted((gidx[(tw, q)], c) for q, c in coords.items())))
+        return tuple(out)
 
-    e = tuple(matrix("e", k) for k in range(1, n))
-    f = tuple(matrix("f", k) for k in range(1, n))
+    e = tuple(matrix(e_cols[k - 1], alphas[k - 1]) for k in range(1, n))
+    f = tuple(matrix(f_cols[k - 1], -alphas[k - 1]) for k in range(1, n))
     h = tuple(
         tuple(w.coords[k - 1] for w in weights) for k in range(1, n)
     )
@@ -375,7 +364,6 @@ def _lowering_maps(m1: ExplicitModule, m2: ExplicitModule):
     """For each k: alpha_k and plain-int column maps of f_k and 1 (x) f_k on
     m1 (x) m2 (flat index a * m2.dim + b).  Both are scaled by the lcm of the
     denominators of f_k on m1 and m2, so spans are unchanged."""
-    d1, d2 = m1.dim, m2.dim
     maps = []
     for k in range(1, m1.n):
         scale = math.lcm(
@@ -383,15 +371,11 @@ def _lowering_maps(m1: ExplicitModule, m2: ExplicitModule):
         )
         f1 = [[(r, int(c * scale)) for r, c in col] for col in m1.f[k - 1]]
         f2 = [[(r, int(c * scale)) for r, c in col] for col in m2.f[k - 1]]
-        right = [
-            [(a * d2 + r, c) for r, c in f2[b]] for a in range(d1) for b in range(d2)
-        ]
-        diagonal = [
-            [(r * d2 + b, c) for r, c in f1[a]] + right[a * d2 + b]
-            for a in range(d1)
-            for b in range(d2)
-        ]
-        maps.append((simple_root_weight(m1.n, k), diagonal, right))
+        maps.append((
+            simple_root_weight(m1.n, k),
+            _tensor_columns(f1, f2),
+            _tensor_columns([()] * m1.dim, f2),
+        ))
     return maps
 
 
@@ -424,13 +408,6 @@ def fusion_graded(
     order = sorted(dims, key=lambda w: root_lattice_height(top - w))
     spaces = {w: IntegerRowSpan() for w in order}
 
-    def apply(cols: list, row: Mapping[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for idx, v in row.items():
-            for j, c in cols[idx]:
-                out[j] = out.get(j, 0) + c * v
-        return out
-
     # Rows added in degrees s-1 and s, by weight.  A row gets f_k in the
     # degree it was added and 1 (x) f_k in the next one: f_k F_{s-1} and
     # (1 (x) f_k) F_{s-2} already lie in F_{s-1}.
@@ -445,7 +422,7 @@ def fusion_graded(
                 continue
             fresh = new_rows.setdefault(mu, [])
             images = (
-                apply(cols, row)
+                _apply(cols, row)
                 for alpha, f_cols, t_cols in maps
                 for cols, rows in (
                     (f_cols, new_rows.get(mu + alpha, ())),

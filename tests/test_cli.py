@@ -104,15 +104,41 @@ def test_fusion_cap_exit(capsys):
     assert "dimension cap exceeded" in captured.err
 
 
-def test_fusion_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SLNFUSION_DIM_CAP", "2")
-    code = main(["fusion", "--n", "2", "--l", "2", "--m", "1"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "cap 2" in captured.err
-    monkeypatch.setenv("SLNFUSION_DIM_CAP", "50")
-    assert main(["fusion", "--n", "2", "--l", "2", "--m", "1"]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fusion", "--n", "2", "--l", "2", "--m", "1", "--cap", "0"],
+         "argument --cap: must be at least 1, got 0"),
+        (["verify", "--cap", "-3"], "argument --cap: must be at least 1, got -3"),
+        (["lr", "--n", "1", "--l", "1", "--m", "1"],
+         "argument --n: must be at least 2, got 1"),
+        (["poset", "--n", "0", "--l", "1"], "argument --n: must be at least 2, got 0"),
+    ],
+    ids=["fusion --cap 0", "verify --cap -3", "lr --n 1", "poset --n 0"],
+)
+def test_cap_and_rank_below_range_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "1"],
+        ["lr", "--n", "3", "--l", "1,0,0", "--m", "0,1"],
+        ["points", "--n", "3"],
+    ],
+    ids=["verify --n-max 1", "lr --l 1,0,0", "points without bounds"],
+)
+def test_usage_errors_show_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: slnfusion {argv[0]} ")
+    assert f"slnfusion {argv[0]}: error: " in err
 
 
 def test_verify_cap_reaches_fusion_sweep(capsys):

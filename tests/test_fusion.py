@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,10 @@ SAMPLE_MODULES = [
     Weight(3, (1, 1)),
     Weight(3, (2, 0)),
     Weight(4, (1, 0, 1)),
+    # built two or more levels deep: V(lam - omega_k) is itself a tensor span
+    Weight(3, (2, 1)),
+    Weight(4, (1, 2, 1)),
+    Weight(5, (0, 1, 1, 0)),
 ]
 
 
@@ -108,6 +113,55 @@ def test_bracket_identities():
                     ev = m.apply("e", l, v)
                     expected = {i: cartan * c for i, c in ev.items() if cartan * c}
                     assert diff == expected
+
+
+def _combination(*terms):
+    """Sum of c * vec over the (c, vec) terms, zero entries dropped."""
+    out = {}
+    for c, vec in terms:
+        for i, v in vec.items():
+            out[i] = out.get(i, 0) + c * v
+    return {i: v for i, v in out.items() if v}
+
+
+def test_serre_relations():
+    # x_k^2 x_l - 2 x_k x_l x_k + x_l x_k^2 = 0 for |k - l| = 1, and
+    # x_k x_l = x_l x_k for |k - l| >= 2, for x = e and x = f, on every basis
+    # vector
+    for lam in SAMPLE_MODULES:
+        m = build_irrep(lam)
+        n = lam.n
+        for which in ("e", "f"):
+
+            def word(v, *ks):
+                for k in reversed(ks):
+                    v = m.apply(which, k, v)
+                return v
+
+            for idx in range(m.dim):
+                v = {idx: Fraction(1)}
+                for k, l in itertools.permutations(range(1, n), 2):
+                    if abs(k - l) == 1:
+                        relation = _combination(
+                            (1, word(v, k, k, l)),
+                            (-2, word(v, k, l, k)),
+                            (1, word(v, l, k, k)),
+                        )
+                    else:
+                        relation = _combination((1, word(v, k, l)), (-1, word(v, l, k)))
+                    assert relation == {}, (lam, which, k, l, idx)
+
+
+def test_build_irrep_near_cap():
+    # V(6,6) of sl_3 has dimension 343, just under the default cap; every
+    # module of its recursion is smaller still
+    lam = Weight(3, (6, 6))
+    assert weyl_dim(lam) <= DEFAULT_DIM_CAP
+    t0 = time.perf_counter()
+    m = build_irrep(lam)
+    elapsed = time.perf_counter() - t0
+    assert m.weight_space_dims() == weight_multiplicities(lam)
+    assert elapsed < 10, f"V(6,6) took {elapsed:.1f}s, budget 10s"
 
 
 def test_peel_character_examples():

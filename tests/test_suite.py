@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from slnfusion import poset, suite
 from slnfusion.dyck import bounds_from_pair
 from slnfusion.fusion import GradedDecomposition
+from slnfusion.typea import Weight
 
 
 def test_run_all_forwards_limits(monkeypatch):
@@ -117,3 +118,23 @@ def test_schur_positivity_verdict_for_additive_products(weights):
         patch.setattr(poset, "schur_product_diff", fake_diff)
         _, schur = suite.check_poset(n_max=3, coord_max=2)
         assert schur.passed == schur_reference(n_max=3, coord_max=2)
+
+
+def test_check_poset_records_a_failing_report(monkeypatch):
+    # an AssertionError from poset_report fails criterion 8 for that weight
+    # alone; the other posets are still checked
+    real = suite.poset_report
+    broken = Weight(3, (1, 1))
+
+    def report(lam):
+        if lam == broken:
+            raise AssertionError("extremal elements are wrong")
+        return real(lam)
+
+    monkeypatch.setattr(suite, "poset_report", report)
+    axioms, schur = suite.check_poset(n_max=3, coord_max=1)
+    assert not axioms.passed
+    assert axioms.detail == (
+        "1 failures: [('report', 3, (1, 1), 'extremal elements are wrong')]"
+    )
+    assert schur.passed
