@@ -7,7 +7,8 @@ independent route that the oracle in `tensor` is checked against:
 * sl_2: the classical two-factor decomposition;
 * rectangular: both factors are multiples of a single fundamental weight;
 * Pieri row / column: one factor is k*omega_1 or omega_j;
-* large: one factor dominates the full Weyl orbit of the other.
+* large: one factor dominates the full Weyl orbit of the other, that is
+  its least coordinate is at least the coordinate sum of the other.
 
 `verify_case` sweeps a regime over parameter ranges and reports each
 comparison as a CaseReport.
@@ -21,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .dyck import LatticePoint, dominant_points
 from .tensor import DecompositionMap, lr_coefficients
-from .typea import Weight, weight_multiplicities, weyl_orbit
+from .typea import Weight, weight_multiplicities
 
 __all__ = [
     "sl2_mults",
@@ -183,12 +184,21 @@ def pieri_column(lam: Weight, j: int) -> DecompositionMap:
 
 
 def is_much_greater(lambda1: Weight, lambda2: Weight) -> bool:
-    """True iff lambda1 + w(lambda2) is dominant for every Weyl image w(lambda2)."""
+    """True iff lambda1 + w(lambda2) is dominant for every Weyl image w(lambda2),
+    that is iff every coordinate of lambda1 is at least lambda2(h_theta), the
+    coordinate sum of lambda2 (theta the highest root).
+
+    The k-th coordinate of lambda1 + w(lambda2) is lambda1_k plus the pairing
+    of lambda2 with the coroot of w^{-1}(alpha_k).  W permutes the roots and
+    every root is some w^{-1}(alpha_k), so over the orbit that pairing runs
+    through lambda2(h_beta) for all roots beta.  For dominant lambda2 the
+    least of these is -lambda2(h_theta): theta - beta is a nonnegative sum of
+    simple roots for every positive root beta."""
     lambda1._check_same_rank(lambda2)
     for w in (lambda1, lambda2):
         if not w.is_dominant:
             raise ValueError(f"is_much_greater requires dominant weights, got {w}")
-    return all((lambda1 + mu).is_dominant for mu in weyl_orbit(lambda2))
+    return min(lambda1.coords) >= sum(lambda2.coords)
 
 
 def large_case_mults(lambda1: Weight, lambda2: Weight) -> DecompositionMap:

@@ -122,9 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", required=True, help="first weight, comma-separated coordinates")
     p.add_argument("--m", required=True, help="second weight")
 
-    p = add("dyck", "Dyck paths and the pruned inequality system")
+    p = add("dyck", "Dyck paths and the inequality system (simple root to simple root)")
     p.add_argument("--n", type=_rank, required=True)
-    p.add_argument("--no-prune", action="store_true", help="show the full system")
+    p.add_argument("--no-prune", action="store_true", help="show one inequality per path")
 
     p = add("points", "lattice points for a weight pair or explicit bounds")
     p.add_argument("--n", type=_rank, required=True)
@@ -193,16 +193,16 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
 
     if args.command == "dyck":
         paths = dyck_paths(args.n)
-        system = inequalities(args.n, prune=not args.no_prune)
+        system = paths if args.no_prune else inequalities(args.n)
         payload = {
             "n": args.n,
             "paths": [[[r.i, r.j] for r in p.steps] for p in paths],
             "inequalities": [
                 {
-                    "support": [[r.i, r.j] for r in ineq.support],
-                    "base": [ineq.base.i, ineq.base.j],
+                    "support": [[r.i, r.j] for r in p.steps],
+                    "base": [p.base.i, p.base.j],
                 }
-                for ineq in system
+                for p in system
             ],
         }
         lines = [f"{len(paths)} Dyck paths for n={args.n}:"]
@@ -213,9 +213,9 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         ]
         lines.append(f"{len(system)} inequalities:")
         lines += [
-            "  " + " + ".join(f"x[{r.i},{r.j}]" for r in ineq.support)
-            + f" <= a[{ineq.base.i},{ineq.base.j}]"
-            for ineq in system
+            "  " + " + ".join(f"x[{r.i},{r.j}]" for r in p.steps)
+            + f" <= a[{p.base.i},{p.base.j}]"
+            for p in system
         ]
         _emit(args, payload, lines)
         return 0

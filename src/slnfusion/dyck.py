@@ -5,9 +5,10 @@ by alpha_{i+1,j} or alpha_{i,j+1}; its base root combines the first row index
 with the last column index.  A bound vector a = (a_alpha) cuts out the
 polytope { x >= 0 : sum_{alpha in p} x_alpha <= a_{base(p)} for every path p },
 and the integer points of that polytope are the objects everything downstream
-counts.  Enumeration runs on the pruned system (a path whose support is
-contained in another path's support with the same base is redundant) and the
-full system is retained for post-hoc checks.
+counts.  Enumeration runs on `inequalities`, the paths from a simple root to
+a simple root (every other path lies inside one of them with the same base,
+so its inequality is implied); `point_satisfies` checks the full system of
+`dyck_paths`.
 
 The enumerator works on plain exponent tuples: a depth-first search in root
 order emits them in lexicographic order, one stable sort by degree gives the
@@ -35,7 +36,6 @@ from .typea import (
 
 __all__ = [
     "DyckPath",
-    "PathInequality",
     "BoundVector",
     "LatticePoint",
     "dyck_paths",
@@ -102,34 +102,25 @@ def dyck_paths(n: int) -> tuple[DyckPath, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PathInequality:
-    """sum of x over `support` bounded by the entry of the base root."""
-
-    support: tuple[Root, ...]
-    base: Root
-
-
 @lru_cache(maxsize=None)
-def inequalities(n: int, prune: bool = True) -> tuple[PathInequality, ...]:
-    """The inequality system of sl_n, one inequality per path; with
-    prune=True, inequalities implied by a larger support with the same base
-    are dropped (valid for every bound vector at once)."""
-    all_ineqs = [PathInequality(p.steps, p.base) for p in dyck_paths(n)]
-    if not prune:
-        return tuple(all_ineqs)
-    by_base: dict[Root, list[PathInequality]] = {}
-    for iq in all_ineqs:
-        by_base.setdefault(iq.base, []).append(iq)
-    kept: list[PathInequality] = []
-    for iq in all_ineqs:
-        sup = set(iq.support)
-        redundant = any(
-            other is not iq and sup < set(other.support) for other in by_base[iq.base]
-        )
-        if not redundant:
-            kept.append(iq)
-    return tuple(kept)
+def inequalities(n: int) -> tuple[DyckPath, ...]:
+    """The inequality system of sl_n: the Dyck paths from a simple root
+    alpha_i to a simple root alpha_j, in `dyck_paths` order.
+
+    These are exactly the paths whose support lies strictly inside no other
+    path's support with the same base, so they cut out the same polytope as
+    the full system for every bound vector (x >= 0, so a larger support gives
+    the stronger inequality).  A path with base (i, j) starts at some
+    alpha_{i,b} and ends at some alpha_{a,j}; prepending alpha_{i,i}, ...,
+    alpha_{i,b-1} and appending alpha_{a+1,j}, ..., alpha_{j,j} gives a path
+    from alpha_i to alpha_j with the same base and a strictly larger support,
+    unless the path already ran from simple root to simple root.  Every path
+    from alpha_i to alpha_j has j - i row steps and j - i column steps, so
+    2(j - i) + 1 roots, and no path with base (i, j) has more; so none of
+    them lies strictly inside another."""
+    return tuple(
+        p for p in dyck_paths(n) if p.steps[0].is_simple and p.steps[-1].is_simple
+    )
 
 
 @dataclass(frozen=True)
@@ -263,16 +254,16 @@ def _root_weight_columns(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*(root_as_weight(r).coords for r in positive_roots(n))))
 
 
-def _compiled_system(n: int, prune: bool) -> list[tuple[tuple[int, ...], int]]:
-    # (coordinate positions, base position) per inequality
-    compiled = []
-    for iq in inequalities(n, prune):
-        idxs = tuple(positive_root_index(r) for r in iq.support)
-        compiled.append((idxs, positive_root_index(iq.base)))
-    return compiled
+@lru_cache(maxsize=None)
+def _compiled_system(paths: tuple[DyckPath, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # (coordinate positions, base position) per path
+    return tuple(
+        (tuple(positive_root_index(r) for r in p.steps), positive_root_index(p.base))
+        for p in paths
+    )
 
 
-def lattice_points(bounds: BoundVector, *, prune: bool = True) -> list[LatticePoint]:
+def lattice_points(bounds: BoundVector) -> list[LatticePoint]:
     """All integer points of the polytope cut out by `bounds`, sorted by
     (degree, exponents).
 
@@ -286,7 +277,7 @@ def lattice_points(bounds: BoundVector, *, prune: bool = True) -> list[LatticePo
     n = bounds.n
     num = len(bounds.values)
     last = num - 1
-    system = _compiled_system(n, prune)
+    system = _compiled_system(inequalities(n))
     slack = [bounds.values[base] for _, base in system]
     touching: list[list[int]] = [[] for _ in range(num)]
     for s, (idxs, _) in enumerate(system):
@@ -317,11 +308,12 @@ def lattice_points(bounds: BoundVector, *, prune: bool = True) -> list[LatticePo
     return out
 
 
-def point_satisfies(point: LatticePoint, bounds: BoundVector, *, prune: bool = False) -> bool:
-    """Membership test against the (by default full, unpruned) system."""
+def point_satisfies(point: LatticePoint, bounds: BoundVector) -> bool:
+    """Membership test against the full system, one inequality per path of
+    `dyck_paths`: the reference that `lattice_points` is checked against."""
     if point.n != bounds.n:
         raise ValueError(f"rank mismatch: sl_{point.n} vs sl_{bounds.n}")
-    for idxs, base in _compiled_system(point.n, prune):
+    for idxs, base in _compiled_system(dyck_paths(point.n)):
         if sum(point.exps[k] for k in idxs) > bounds.values[base]:
             return False
     return True

@@ -413,8 +413,9 @@ def fusion_graded(
     # (1 (x) f_k) F_{s-2} already lie in F_{s-1}.
     prev_rows: dict[Weight, list] = {}
     new_rows = {top: [spaces[top].insert({0: 1})]}
-    characters = []
+    entries: dict[tuple[int, Weight], int] = {}
     total = 0
+    degree = 0
     while total < full:
         for mu in order:
             span = spaces[mu]
@@ -436,25 +437,17 @@ def fusion_graded(
                     fresh.append(stored)
                     if span.dimension == dims[mu]:
                         break
-        gained = sum(len(rows) for rows in new_rows.values())
-        if not gained:
+        # the rows added to mu in this degree s span F_s(mu) modulo F_{s-1}(mu)
+        slice_dims = {mu: len(rows) for mu, rows in new_rows.items() if rows}
+        if not slice_dims:
             raise RuntimeError(
                 "degree filtration stalled before exhausting the tensor product"
             )
-        total += gained
-        characters.append({w: sp.dimension for w, sp in spaces.items() if sp.dimension})
+        for tau, m in peel_character(slice_dims).items_sorted():
+            entries[(degree, tau)] = m
+        total += sum(slice_dims.values())
         prev_rows, new_rows = new_rows, {}
-
-    entries: dict[tuple[int, Weight], int] = {}
-    previous: dict[Weight, int] = {}
-    for s, char in enumerate(characters):
-        diff = {
-            w: d - previous.get(w, 0) for w, d in char.items() if d - previous.get(w, 0)
-        }
-        if diff:
-            for tau, m in peel_character(diff).items_sorted():
-                entries[(s, tau)] = m
-        previous = char
+        degree += 1
 
     graded = GradedDecomposition(
         n=n, lambda1=m1.highest, lambda2=m2.highest, entries=entries

@@ -94,24 +94,19 @@ class IntegerRowSpan:
     def dimension(self) -> int:
         return len(self._rows)
 
-    @staticmethod
-    def _normalized(vec: dict[int, int]) -> dict[int, int]:
-        g = 0
-        for v in vec.values():
-            g = math.gcd(g, v)
-        if g > 1:
-            vec = {k: v // g for k, v in vec.items()}
-        if vec[min(vec)] < 0:
-            vec = {k: -v for k, v in vec.items()}
-        return vec
-
     def insert(self, vec) -> dict[int, int] | None:
+        """Reduce vec against the stored rows; if independent, store it
+        divided by its content, leading entry positive, and return the stored
+        row, else return None.  Only the stored row is gcd-normalized."""
         work = {k: int(v) for k, v in vec.items() if v}
         while work:
             p = min(work)
             row = self._rows.get(p)
             if row is None:
-                stored = self._normalized(work)
+                g = math.gcd(*work.values())
+                if work[p] < 0:
+                    g = -g
+                stored = {k: v // g for k, v in work.items()}
                 self._rows[p] = stored
                 return stored
             a = row[p]
@@ -126,7 +121,5 @@ class IntegerRowSpan:
                     new[k] = val
                 elif k in new:
                     del new[k]
-            if new:
-                new = self._normalized(new)
             work = new
         return None

@@ -13,7 +13,7 @@ truncated at t^2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
@@ -183,16 +183,24 @@ def weyl_character_prediction(lam: Weight) -> WeylModulePrediction:
     )
 
 
+def _order_matrix(nodes) -> tuple[tuple[bool, ...], ...]:
+    """`order_leq` on every ordered pair: entry [a][b] is nodes[a] <= nodes[b]."""
+    return tuple(tuple(order_leq(a, b) for b in nodes) for a in nodes)
+
+
 @dataclass(frozen=True)
 class PosetReport:
     """Nodes, transitively reduced order edges (with a Schur-positivity flag
-    on each), and the extremal elements of one poset."""
+    on each), and the extremal elements of one poset.  `leq` is the order
+    matrix the report was built from; it is derived from the nodes, so it is
+    neither compared nor serialized."""
 
     lam: Weight
     nodes: tuple[WeightPair, ...]
     edges: tuple[tuple[int, int, bool], ...]  # (low index, high index, schur_positive)
     min_pair: WeightPair
     max_pair: WeightPair
+    leq: tuple[tuple[bool, ...], ...] = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -221,6 +229,7 @@ class PosetReport:
             edges=edges,
             min_pair=WeightPair.from_json(n, data["min_pair"]),
             max_pair=WeightPair.from_json(n, data["max_pair"]),
+            leq=_order_matrix(nodes),
         )
 
 
@@ -232,7 +241,7 @@ def poset_report(lam: Weight) -> PosetReport:
     covers and the extremal-element assertions all read that one matrix."""
     nodes = enumerate_pairs(lam)
     k = len(nodes)
-    leq = [[order_leq(nodes[a], nodes[b]) for b in range(k)] for a in range(k)]
+    leq = _order_matrix(nodes)
     below = [[leq[a][b] and not leq[b][a] for b in range(k)] for a in range(k)]
     edges = []
     for a in range(k):
@@ -261,4 +270,5 @@ def poset_report(lam: Weight) -> PosetReport:
         edges=tuple(edges),
         min_pair=min_pair,
         max_pair=max_pair,
+        leq=leq,
     )

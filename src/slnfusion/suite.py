@@ -26,12 +26,7 @@ from .fusion import (
     build_irrep,
     fusion_graded,
 )
-from .poset import (
-    maximal_pair,
-    order_leq,
-    poset_report,
-    weyl_character_prediction,
-)
+from .poset import maximal_pair, poset_report, weyl_character_prediction
 from .tensor import lr_coefficients
 from .typea import Weight, weyl_dim
 
@@ -227,8 +222,8 @@ def check_poset(n_max: int = 4, coord_max: int = 3):
     """Criteria 8 and 9 in one pass over the posets of the sweep; both
     results report that pass's time.
 
-    - poset-axioms: on the `order_leq` matrix of the nodes of each
-      `poset_report`, the order is reflexive, antisymmetric and transitive,
+    - poset-axioms: on the `order_leq` matrix that each `poset_report` was
+      built from, the order is reflexive, antisymmetric and transitive,
       (lam, 0) is the unique minimum, the maximal-pair formula gives the
       unique maximum, and the lattice-point sets of comparable pairs nest
       (materialized on the smaller instances).  A report that raises on its
@@ -251,9 +246,8 @@ def check_poset(n_max: int = 4, coord_max: int = 3):
         except AssertionError as exc:  # its extremal elements are wrong
             bad.append(("report", n, lam.coords, str(exc)))
             continue
-        nodes = report.nodes
+        nodes, leq = report.nodes, report.leq
         k = len(nodes)
-        leq = [[order_leq(nodes[a], nodes[b]) for b in range(k)] for a in range(k)]
         for a in range(k):
             if not leq[a][a]:
                 bad.append(("reflexive", n, lam.coords, a))

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slnfusion.cases import (
     CaseReport,
@@ -17,7 +18,7 @@ from slnfusion.cases import (
     verify_case,
 )
 from slnfusion.tensor import DecompositionMap, lr_coefficients
-from slnfusion.typea import Weight, weight_multiplicities
+from slnfusion.typea import Weight, weight_multiplicities, weyl_orbit
 
 
 def test_sl2_mults_frozen():
@@ -131,6 +132,22 @@ def test_is_much_greater():
     assert is_much_greater(Weight(3, (1, 1)), Weight(3, (0, 0)))
     with pytest.raises(ValueError):
         is_much_greater(Weight(3, (-1, 0)), Weight(3, (0, 0)))
+
+
+@st.composite
+def dominant_pairs(draw):
+    n = draw(st.integers(2, 5))
+    first = draw(st.lists(st.integers(0, 6), min_size=n - 1, max_size=n - 1))
+    second = draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1))
+    return Weight(n, first), Weight(n, second)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dominant_pairs())
+def test_is_much_greater_matches_orbit_definition(pair):
+    lam1, lam2 = pair
+    expected = all((lam1 + mu).is_dominant for mu in weyl_orbit(lam2))
+    assert is_much_greater(lam1, lam2) == expected
 
 
 def test_large_case_mults_frozen():

@@ -68,6 +68,18 @@ def test_dyck_json(capsys):
     assert len(payload["inequalities"]) == 3
 
 
+def test_dyck_no_prune_lists_every_path(capsys):
+    code, out = run(capsys, "dyck", "--n", "4", "--no-prune", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["paths"]) == 24
+    assert [ineq["support"] for ineq in payload["inequalities"]] == payload["paths"]
+    code, out = run(capsys, "dyck", "--n", "4", "--no-prune")
+    assert code == 0
+    assert "24 inequalities:" in out
+    assert "  x[1,2] <= a[1,2]" in out
+
+
 def test_hw_candidates(capsys):
     code, out = run(capsys, "hw-candidates", "--n", "3", "--l", "1,0", "--m", "0,1")
     assert code == 0

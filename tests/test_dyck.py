@@ -1,4 +1,4 @@
-"""Dyck paths, the pruned inequality system, and lattice-point enumeration."""
+"""Dyck paths, the inequality system, and lattice-point enumeration."""
 
 import itertools
 import json
@@ -83,16 +83,12 @@ def test_dyck_path_base_and_validation():
 
 def test_inequalities_sl3():
     system = inequalities(3)
-    got = [
-        ([(r.i, r.j) for r in ineq.support], (ineq.base.i, ineq.base.j))
-        for ineq in system
-    ]
+    got = [([(r.i, r.j) for r in p.steps], (p.base.i, p.base.j)) for p in system]
     assert got == [
         ([(1, 1)], (1, 1)),
         ([(1, 1), (1, 2), (2, 2)], (1, 2)),
         ([(2, 2)], (2, 2)),
     ]
-    assert len(inequalities(3, prune=False)) == 6
 
 
 def test_inequalities_sl4_pruned_count():
@@ -106,14 +102,37 @@ def test_inequalities_sl4_pruned_count():
     assert len(by_base[(1, 3)]) == 2
 
 
+def maximal_supports(n):
+    """Reference for `inequalities`: the paths whose support lies strictly
+    inside no other path's support with the same base, by subset search."""
+    supports = {}
+    for p in dyck_paths(n):
+        supports.setdefault(p.base, []).append(set(p.steps))
+    return tuple(
+        p
+        for p in dyck_paths(n)
+        if not any(set(p.steps) < other for other in supports[p.base])
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_inequalities_are_the_maximal_supports(n):
+    assert inequalities(n) == maximal_supports(n)
+
+
 def test_pruning_preserves_solution_sets():
+    # exhaustively: the enumeration on `inequalities` keeps exactly the points
+    # of the box that satisfy every path of `dyck_paths`
     for n in (3, 4):
         size = n * (n - 1) // 2
         for values in itertools.product(range(3), repeat=size):
             bounds = BoundVector(n, values)
-            assert lattice_points(bounds, prune=True) == lattice_points(
-                bounds, prune=False
+            box = itertools.product(*(range(a + 1) for a in values))
+            expected = sorted(
+                (e for e in box if point_satisfies(LatticePoint(n, e), bounds)),
+                key=lambda e: (sum(e), e),
             )
+            assert [p.exps for p in lattice_points(bounds)] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,12 +145,11 @@ def test_lattice_points_match_brute_force(bounds):
         (
             exps
             for exps in box
-            if point_satisfies(LatticePoint(bounds.n, exps), bounds, prune=False)
+            if point_satisfies(LatticePoint(bounds.n, exps), bounds)
         ),
         key=lambda exps: (sum(exps), exps),
     )
-    for prune in (True, False):
-        assert [p.exps for p in lattice_points(bounds, prune=prune)] == expected
+    assert [p.exps for p in lattice_points(bounds)] == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -231,7 +249,6 @@ def test_lattice_points_sorted_and_valid():
     assert len(set(pts)) == len(pts)
     for p in pts:
         assert point_satisfies(p, bounds)
-        assert point_satisfies(p, bounds, prune=True)
 
 
 def test_point_satisfies_rejects():
