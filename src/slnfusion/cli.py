@@ -3,13 +3,15 @@
 Weights are given as comma-separated fundamental-weight coordinates (n-1 of
 them).  Explicit bound vectors follow the package's positive-root order
 (1,1), (1,2), ..., (1,n-1), (2,2), ...  Exit codes: 0 success, 1 verification
-mismatch or computational failure, 2 usage error.
+mismatch, computational failure or standard output closed early, 2 usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cases import verify_case
@@ -174,7 +176,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args.command_parser, args)
+        code = _dispatch(args.command_parser, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); point it at devnull so that
+        # the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DimensionCapError as exc:
         print(f"dimension cap exceeded: {exc} (dim={exc.dim}, cap={exc.cap})", file=sys.stderr)
         return 1

@@ -141,9 +141,6 @@ class BoundVector:
             raise ValueError("bounds must be nonnegative")
         object.__setattr__(self, "values", values)
 
-    def of(self, root: Root) -> int:
-        return self.values[positive_root_index(root)]
-
     def leq(self, other: "BoundVector") -> bool:
         if self.n != other.n:
             raise ValueError(f"rank mismatch: sl_{self.n} vs sl_{other.n}")
@@ -192,21 +189,11 @@ class LatticePoint:
         return cls(n, (0,) * (n * (n - 1) // 2))
 
     @classmethod
-    def unit(cls, n: int, i: int, j: int) -> "LatticePoint":
-        """The point e_{i,j}: exponent 1 on alpha_{i,j}, zero elsewhere."""
-        exps = [0] * (n * (n - 1) // 2)
-        exps[positive_root_index(Root(n, i, j))] = 1
-        return cls(n, tuple(exps))
-
-    @classmethod
     def from_sparse(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "LatticePoint":
         exps = [0] * (n * (n - 1) // 2)
         for i, j, s in triples:
             exps[positive_root_index(Root(n, i, j))] += int(s)
         return cls(n, tuple(exps))
-
-    def coefficient(self, root: Root) -> int:
-        return self.exps[positive_root_index(root)]
 
     def __add__(self, other: "LatticePoint") -> "LatticePoint":
         if self.n != other.n:
@@ -224,11 +211,6 @@ class LatticePoint:
         return Weight(
             self.n, [sum(map(mul, self.exps, col)) for col in _root_weight_columns(self.n)]
         )
-
-    @property
-    def hei(self) -> int:
-        """Simple-root coefficient total of wt: sum s_alpha * height(alpha)."""
-        return sum(s * r.height for s, r in zip(self.exps, positive_roots(self.n)))
 
     def sort_key(self) -> tuple:
         return (self.deg, self.exps)

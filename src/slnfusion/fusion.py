@@ -11,12 +11,13 @@ viewed as a two-point evaluation module over the current algebra at distinct
 points c1 and c2, by polynomial degree.  v1 (x) v2 generates it under
 U(n^-[t]) and t^2 acts through t and 1, so the degree-s piece is
 F_s(mu) = sum_k f_k F_s(mu + alpha_k) + (f_k (x) t) F_{s-1}(mu + alpha_k),
-computed for each degree by one pass down the weights in order of height.
+computed for each degree by one pass down the weights in order of height
+(`_lowering_pass`, which also builds V(lambda) as such a degree 0).
 Modulo F_{s-1}, f_k (x) t acts on F_{s-1} as a nonzero multiple of
 1 (x) f_k (see `fusion_graded`), so the filtration does not depend on the
 points, and they are only checked to be distinct.
-Successive differences of the per-weight dimensions are genuine module
-characters; `peel_character` decomposes each into irreducibles, giving the
+The rows each degree adds, counted by weight, form the character of
+F_s / F_{s-1}; `peel_character` decomposes it into irreducibles, giving the
 graded decomposition.
 
 Every step of the filtration is a weight-space-local row reduction in plain
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,6 +79,36 @@ def _apply(cols, vec: Mapping) -> dict:
         for r, c in cols[i]:
             out[r] = out.get(r, 0) + c * v
     return {r: c for r, c in out.items() if c}
+
+
+def _lowering_pass(order, dims, spaces, maps, rows, prev_rows) -> None:
+    """One pass down the weights: for each mu in `order` (by height, so
+    every mu + alpha_k comes before mu), insert into spaces[mu] the images
+    f_k rows[mu + alpha_k] and t_k prev_rows[mu + alpha_k], for each
+    (alpha_k, f_k, t_k) in `maps`, until it has dimension dims[mu].  The
+    rows it stores are appended to rows[mu].  Row lists of weights already
+    passed are complete, so rows that a later insert at their own weight
+    reduces in place still span what was inserted there."""
+    for mu in order:
+        span = spaces[mu]
+        if span.dimension == dims[mu]:
+            continue
+        fresh = rows.setdefault(mu, [])
+        images = (
+            _apply(cols, row)
+            for alpha, f_cols, t_cols in maps
+            for cols, src in (
+                (f_cols, rows.get(mu + alpha, ())),
+                (t_cols, prev_rows.get(mu + alpha, ())),
+            )
+            for row in src
+        )
+        for img in images:
+            stored = span.insert(img)
+            if stored is not None:
+                fresh.append(stored)
+                if span.dimension == dims[mu]:
+                    break
 
 
 def _tensor_columns(cols1, cols2) -> list:
@@ -168,9 +198,12 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
     """V(lam) as the cyclic span of the top vector (index 0) of
     V(omega_k) (x) V(lam - omega_k), k the largest index with lam_k > 0.  The
     first factor is `_exterior_power(n, k)`; the second is built the same
-    way, down to the line V(0).  With the exterior power leading the flat
-    index, the pivots (lowest indices) give generator matrices with small
-    entries, which keeps the integer row reduction of `fusion_graded` cheap.
+    way, down to the line V(0).  The span is degree 0 of the filtration of
+    `fusion_graded`: one `_lowering_pass` with f_k alone over the weights of
+    V(lam), and the basis is the reduced echelon basis of each weight space.
+    With the exterior power leading the flat index, it gives small integral
+    generator matrices on every module measured, which keeps the integer
+    row reduction of `fusion_graded` cheap.
 
     The top vector v (x) v' is a highest-weight vector of weight lam in a
     finite-dimensional module, so it generates a copy of V(lam), and lam has
@@ -189,21 +222,14 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
         e_cols = f_cols = [[()]] * (n - 1)
     alphas = [simple_root_weight(n, k) for k in range(1, n)]
 
-    spaces: dict[Weight, RationalRowBasis] = {lam: RationalRowBasis()}
-    top = spaces[lam].insert({0: Fraction(1)})
-    queue: deque[tuple[Weight, dict]] = deque([(lam, dict(top))])
-    while queue:
-        w, row = queue.popleft()
-        for k in range(1, n):
-            img = _apply(f_cols[k - 1], row)
-            if not img:
-                continue
-            tw = w - alphas[k - 1]
-            space = spaces.setdefault(tw, RationalRowBasis())
-            stored = space.insert(img)
-            if stored is not None:
-                # snapshot: stored rows mutate later under back-elimination
-                queue.append((tw, dict(stored)))
+    dims = weight_multiplicities(lam)
+    order = sorted(
+        dims, key=lambda w: (root_lattice_height(lam - w), [-p for p in w.to_parts()])
+    )
+    spaces = {w: RationalRowBasis() for w in order}
+    rows = {lam: [spaces[lam].insert({0: 1})]}
+    maps = [(alphas[k - 1], f_cols[k - 1], ()) for k in range(1, n)]
+    _lowering_pass(order, dims, spaces, maps, rows, {})
 
     dim = weyl_dim(lam)
     total = sum(sp.dimension for sp in spaces.values())
@@ -212,12 +238,9 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
             f"cyclic span of the top vector has dimension {total}, expected {dim}"
         )
 
-    ordered = sorted(
-        spaces, key=lambda w: (root_lattice_height(lam - w), [-p for p in w.to_parts()])
-    )
     gidx: dict[tuple[Weight, int], int] = {}
     flat: list[tuple[Weight, int]] = []
-    for w in ordered:
+    for w in order:
         for p in spaces[w].pivots():
             gidx[(w, p)] = len(flat)
             flat.append((w, p))
@@ -417,26 +440,7 @@ def fusion_graded(
     total = 0
     degree = 0
     while total < full:
-        for mu in order:
-            span = spaces[mu]
-            if span.dimension == dims[mu]:
-                continue
-            fresh = new_rows.setdefault(mu, [])
-            images = (
-                _apply(cols, row)
-                for alpha, f_cols, t_cols in maps
-                for cols, rows in (
-                    (f_cols, new_rows.get(mu + alpha, ())),
-                    (t_cols, prev_rows.get(mu + alpha, ())),
-                )
-                for row in rows
-            )
-            for img in images:
-                stored = span.insert(img)
-                if stored is not None:
-                    fresh.append(stored)
-                    if span.dimension == dims[mu]:
-                        break
+        _lowering_pass(order, dims, spaces, maps, new_rows, prev_rows)
         # the rows added to mu in this degree s span F_s(mu) modulo F_{s-1}(mu)
         slice_dims = {mu: len(rows) for mu, rows in new_rows.items() if rows}
         if not slice_dims:

@@ -1,9 +1,14 @@
 """Command-line surface: output shapes, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slnfusion
 from slnfusion.cases import CaseReport
 from slnfusion.cli import main
 from slnfusion.fusion import GradedDecomposition, build_irrep, fusion_graded
@@ -78,6 +83,22 @@ def test_dyck_no_prune_lists_every_path(capsys):
     assert code == 0
     assert "24 inequalities:" in out
     assert "  x[1,2] <= a[1,2]" in out
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # about 0.5 MB of output, far more than a pipe buffers, so the command is
+    # still writing when the reader closes the pipe after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(slnfusion.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slnfusion", "dyck", "--n", "8", "--no-prune"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"2938 Dyck paths for n=8:\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 1
 
 
 def test_hw_candidates(capsys):

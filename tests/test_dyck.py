@@ -160,7 +160,7 @@ def test_lattice_point_count_is_weyl_dimension(lam):
 
 def test_bound_vector_validation():
     bv = BoundVector(3, (1, 2, 1))
-    assert bv.of(Root(3, 1, 2)) == 2
+    assert bv.values == (1, 2, 1)
     assert bv.leq(BoundVector(3, (1, 2, 2)))
     assert not BoundVector(3, (2, 2, 1)).leq(bv)
     with pytest.raises(ValueError):
@@ -187,12 +187,10 @@ def test_lattice_point_basics():
     zero = LatticePoint.zero(3)
     assert zero.deg == 0
     assert zero.wt == Weight.zero(3)
-    e12 = LatticePoint.unit(3, 1, 2)
+    e12 = LatticePoint.from_sparse(3, [(1, 2, 1)])
     assert e12.deg == 1
-    assert e12.hei == 2
     assert e12.wt == Weight(3, (1, 1))
-    assert e12.coefficient(Root(3, 1, 2)) == 1
-    assert e12.coefficient(Root(3, 1, 1)) == 0
+    assert e12.exps == (0, 1, 0)
     double = e12 + e12
     assert double.exps == (0, 2, 0)
     assert double.deg == 2
@@ -253,8 +251,8 @@ def test_lattice_points_sorted_and_valid():
 
 def test_point_satisfies_rejects():
     bounds = BoundVector(3, (0, 5, 5))
-    assert not point_satisfies(LatticePoint.unit(3, 1, 1), bounds)
-    assert point_satisfies(LatticePoint.unit(3, 2, 2), bounds)
+    assert not point_satisfies(LatticePoint.from_sparse(3, [(1, 1, 1)]), bounds)
+    assert point_satisfies(LatticePoint.from_sparse(3, [(2, 2, 1)]), bounds)
 
 
 def test_lattice_points_monotone_in_bounds():

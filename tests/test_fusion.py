@@ -1,5 +1,6 @@
 """Explicit modules, character peeling, and graded fusion products."""
 
+import dataclasses
 import itertools
 import json
 import time
@@ -313,10 +314,27 @@ def test_fusion_sl2_max_degree():
             assert g.max_degree == m2
 
 
+def rescaled(m):
+    """m in the basis d_i v_i, d_i = 1 + i mod 3: every generator x becomes
+    D^-1 x D, so integral generator matrices get denominators 2 and 3."""
+    d = [1 + i % 3 for i in range(m.dim)]
+
+    def conjugate(mats):
+        return tuple(
+            tuple(
+                tuple((r, c * Fraction(d[col], d[r])) for r, c in entries)
+                for col, entries in enumerate(cols)
+            )
+            for cols in mats
+        )
+
+    return dataclasses.replace(m, e=conjugate(m.e), f=conjugate(m.f))
+
+
 def test_fusion_graded_non_integral_generators_frozen():
-    # V(1,2,1) of sl_4 has generator matrices with denominators, so the
-    # lowering maps must be scaled to integers before the filtration runs
-    m = build_irrep(Weight(4, (1, 2, 1)))
+    # the rescaled V(1,2,1) of sl_4 has generator matrices with denominators,
+    # so the lowering maps must be scaled to integers before the filtration
+    m = rescaled(build_irrep(Weight(4, (1, 2, 1))))
     assert any(c.denominator > 1 for cols in m.f for col in cols for _, c in col)
     g = fusion_graded(m, Fraction(1, 2), build_irrep(Weight(4, (0, 1, 0))), 3)
     assert sorted((s, tau.coords, mult) for (s, tau), mult in g.entries.items()) == [
@@ -412,7 +430,6 @@ REFERENCE_PAIRS = [
     (Weight(2, (3,)), Weight(2, (2,))),
     (Weight(3, (1, 1)), Weight(3, (1, 0))),
     (Weight(3, (2, 0)), Weight(3, (1, 1))),
-    # f has denominators on V(1,1,2), so the integer scaling is exercised
     (Weight(4, (1, 1, 2)), Weight(4, (0, 0, 1))),
 ]
 
@@ -422,7 +439,10 @@ REFERENCE_PAIRS = [
 @given(c1=POINTS, c2=POINTS)
 def test_fusion_graded_matches_reference_t_action(pair, c1, c2):
     assume(c1 != c2)
-    m1, m2 = build_irrep(pair[0]), build_irrep(pair[1])
+    # the first factor is rescaled, so f has denominators there and the
+    # integer scaling of the lowering maps is exercised
+    m1, m2 = rescaled(build_irrep(pair[0])), build_irrep(pair[1])
+    assert any(c.denominator > 1 for cols in m1.f for col in cols for _, c in col)
     graded = fusion_graded(m1, c1, m2, c2)
     assert {s: character_of(dm) for s, dm in graded.slices()} == (
         reference_degree_characters(m1, Fraction(c1), m2, Fraction(c2))

@@ -64,3 +64,26 @@ def test_integer_span_agrees_with_rational_basis(vectors):
             for k, v in basis.row(pivot).items():
                 rebuilt[k] = rebuilt.get(k, 0) + c * v
         assert {k: v for k, v in rebuilt.items() if v} == {k: v for k, v in vec.items() if v}
+
+
+def test_rational_basis_frozen():
+    basis = RationalRowBasis()
+    assert basis.insert({1: 1}) == {1: 1}
+    assert basis.insert({0: 1, 1: 1}) == {0: 1}
+    assert basis.insert({0: 2, 1: -3}) is None
+    assert basis.coordinates({0: 2, 1: -3}) == {0: 2, 1: -3}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rational_basis_independent_of_insertion_order(data):
+    vectors = data.draw(insert_sequences())
+    bases = []
+    for _ in range(2):
+        basis = RationalRowBasis()
+        for vec in data.draw(st.permutations(vectors)):
+            basis.insert(vec)
+        bases.append(basis)
+    first, second = bases
+    assert first.pivots() == second.pivots()
+    assert [first.row(p) for p in first.pivots()] == [second.row(p) for p in second.pivots()]
