@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .dyck import LatticePoint, dominant_points
 from .tensor import DecompositionMap, lr_coefficients
@@ -34,6 +34,7 @@ __all__ = [
     "large_case_mults",
     "proven_regime",
     "CaseReport",
+    "CASE_RANGES",
     "verify_case",
 ]
 
@@ -299,17 +300,30 @@ def _dominant_range(n: int, coord_max: int) -> list[Weight]:
     ]
 
 
-def verify_case(
-    case: str,
-    *,
-    m_max: int = 3,
-    n_values: Sequence[int] = (3, 4),
-    coord_max: int = 2,
-    k_max: int = 3,
-) -> list[CaseReport]:
-    """Sweep one proven regime against the oracle over the given ranges and
-    return one CaseReport per comparison (two per tuple for the regimes that
-    also carry a lattice-point presentation)."""
+# the ranges each regime's sweep reads
+CASE_RANGES = {
+    "sl2": ("m_max",),
+    "rectangular": ("n_values", "m_max"),
+    "pieri-row": ("n_values", "coord_max", "k_max"),
+    "pieri-column": ("n_values", "coord_max"),
+    "large": ("n_values", "coord_max"),
+}
+
+
+def verify_case(case: str, **ranges) -> list[CaseReport]:
+    """Sweep one proven regime against the oracle over the ranges it reads,
+    `CASE_RANGES[case]` (m_max 3, n_values (3, 4), coord_max 2 and k_max 3
+    unless given), and return one CaseReport per comparison (two per tuple
+    for the regimes that also carry a lattice-point presentation).  Any other
+    range raises ValueError."""
+    if case not in CASE_RANGES:
+        raise ValueError(f"unknown case tag {case!r}; expected one of {', '.join(CASE_RANGES)}")
+    unread = [name for name in ranges if name not in CASE_RANGES[case]]
+    if unread:
+        reads = ", ".join(CASE_RANGES[case])
+        raise ValueError(f"case {case} reads only {reads}, not {', '.join(unread)}")
+    m_max, n_values = ranges.get("m_max", 3), ranges.get("n_values", (3, 4))
+    coord_max, k_max = ranges.get("coord_max", 2), ranges.get("k_max", 3)
     reports: list[CaseReport] = []
 
     if case == "sl2":
@@ -355,7 +369,7 @@ def verify_case(
                     c = lr_coefficients(lam, Weight.fundamental(n, j))
                     reports.append(CaseReport("pieri-column", params, a, c))
 
-    elif case == "large":
+    else:  # large
         for n in n_values:
             grid = _dominant_range(n, coord_max)
             for lam1 in grid:
@@ -368,11 +382,5 @@ def verify_case(
                     reports.append(CaseReport("large", params, a, c))
                     pts = _points_as_map(n, dominant_points(lam1, lam2))
                     reports.append(CaseReport("large-points", params, pts, c))
-
-    else:
-        raise ValueError(
-            "unknown case tag {!r}; expected one of sl2, rectangular, pieri-row, "
-            "pieri-column, large".format(case)
-        )
 
     return reports

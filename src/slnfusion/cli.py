@@ -4,7 +4,8 @@ Weights are given as comma-separated fundamental-weight coordinates (n-1 of
 them).  Explicit bound vectors follow the package's positive-root order
 (1,1), (1,2), ..., (1,n-1), (2,2), ...  Exit codes: 0 success, 1 verification
 mismatch, computational failure or standard output closed early, 2 usage
-error.
+error.  Range and cap flags have no defaults here: only the flags given reach
+the library, whose own defaults apply to the rest.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import sys
 
-from .cases import verify_case
+from .cases import CASE_RANGES, verify_case
 from .dyck import (
     BoundVector,
     bounds_from_pair,
@@ -49,28 +50,17 @@ _rank = _int_at_least(2)
 _nonnegative = _int_at_least(0)
 
 
-def _ranks(text: str) -> tuple[int, ...]:
-    return tuple(_rank(v) for v in text.split(","))
+def _comma_separated(item):
+    """argparse type: comma-separated values, each parsed by `item`."""
+    return lambda text: tuple(map(item, text.split(",")))
 
 
-def _parse_weight(parser: argparse.ArgumentParser, n: int, text: str, flag: str) -> Weight:
-    try:
-        coords = tuple(int(c) for c in text.split(","))
-    except ValueError:
-        parser.error(f"{flag}: expected comma-separated integers, got {text!r}")
-    if len(coords) != n - 1:
-        parser.error(f"{flag}: expected {n - 1} coordinates for n={n}, got {len(coords)}")
-    if any(c < 0 for c in coords):
-        parser.error(f"{flag}: coordinates must be nonnegative, got {text!r}")
-    return Weight(n, coords)
+_coords = _comma_separated(_nonnegative)
 
 
-def _emit(args, payload, text_lines) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _given(args, *names: str) -> dict:
+    """The flags among `names` that were given on the command line."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _decomposition_lines(dm: DecompositionMap, title: str) -> list[str]:
@@ -104,79 +94,77 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, weights=None, required=True) -> argparse.ArgumentParser:
+        """A subcommand; given `weights` (a tuple of flags), it also takes
+        `--n` and those weight flags, which `main` checks against `--n`."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json"), default="text")
         # errors found after parsing are reported with this subcommand's usage
         p.set_defaults(command_parser=p)
+        if weights is not None:
+            p.add_argument("--n", type=_rank, required=True)
+        for flag in weights or ():
+            p.add_argument(
+                flag, type=_coords, required=required, help="comma-separated coordinates"
+            )
         return p
 
-    def add_cap(p: argparse.ArgumentParser) -> None:
+    def add_cap(p: argparse.ArgumentParser, dest: str) -> None:
         p.add_argument(
             "--cap",
+            dest=dest,
+            metavar="CAP",
             type=_int_at_least(1),
-            default=DEFAULT_DIM_CAP,
             help=f"dimension cap on each module built (default {DEFAULT_DIM_CAP})",
         )
 
-    p = add("lr", "tensor product decomposition of V(l) (x) V(m)")
-    p.add_argument("--n", type=_rank, required=True)
-    p.add_argument("--l", required=True, help="first weight, comma-separated coordinates")
-    p.add_argument("--m", required=True, help="second weight")
+    pair = ("--l", "--m")
+    add("lr", "tensor product decomposition of V(l) (x) V(m)", pair)
 
-    p = add("dyck", "Dyck paths and the inequality system (simple root to simple root)")
-    p.add_argument("--n", type=_rank, required=True)
+    p = add("dyck", "Dyck paths and the inequality system (simple root to simple root)", ())
     p.add_argument("--no-prune", action="store_true", help="show one inequality per path")
 
-    p = add("points", "lattice points for a weight pair or explicit bounds")
-    p.add_argument("--n", type=_rank, required=True)
-    p.add_argument("--l", help="first weight (with --m)")
-    p.add_argument("--m", help="second weight (with --l)")
-    p.add_argument("--bounds", help="explicit bound vector, root order, comma-separated")
+    p = add("points", "lattice points for a weight pair or explicit bounds", pair, required=False)
+    p.add_argument(
+        "--bounds", type=_coords, help="explicit bound vector, root order, comma-separated"
+    )
 
-    p = add("hw-candidates", "lattice points whose shifted weight is dominant")
-    p.add_argument("--n", type=_rank, required=True)
-    p.add_argument("--l", required=True)
-    p.add_argument("--m", required=True)
+    add("hw-candidates", "lattice points whose shifted weight is dominant", pair)
 
     p = add("case", "sweep one proven regime against the oracle")
-    p.add_argument(
-        "--tag",
-        required=True,
-        choices=("sl2", "rectangular", "pieri-row", "pieri-column", "large"),
-    )
-    p.add_argument("--m-max", type=_nonnegative, default=3)
-    p.add_argument("--n-values", type=_ranks, default="3,4", help="comma-separated ranks")
-    p.add_argument("--coord-max", type=_nonnegative, default=2)
-    p.add_argument("--k-max", type=_nonnegative, default=3)
+    p.add_argument("--tag", required=True, choices=CASE_RANGES)
+    p.add_argument("--m-max", type=_nonnegative)
+    p.add_argument("--n-values", type=_comma_separated(_rank), help="comma-separated ranks")
+    p.add_argument("--coord-max", type=_nonnegative)
+    p.add_argument("--k-max", type=_nonnegative)
 
-    p = add("fusion", "graded fusion product of V(l) and V(m)")
-    p.add_argument("--n", type=_rank, required=True)
-    p.add_argument("--l", required=True)
-    p.add_argument("--m", required=True)
-    add_cap(p)
-
-    p = add("poset", "two-part splitting poset of a dominant weight")
-    p.add_argument("--n", type=_rank, required=True)
-    p.add_argument("--l", required=True)
-
-    p = add("weyl", "truncated Weyl module character prediction")
-    p.add_argument("--n", type=_rank, required=True)
-    p.add_argument("--l", required=True)
+    add_cap(add("fusion", "graded fusion product of V(l) and V(m)", pair), "cap")
+    add("poset", "two-part splitting poset of a dominant weight", ("--l",))
+    add("weyl", "truncated Weyl module character prediction", ("--l",))
 
     p = add("verify", "run the full acceptance battery")
-    p.add_argument("--n-max", type=_rank, default=4)
-    p.add_argument("--coord-max", type=_nonnegative, default=3)
-    add_cap(p)
+    p.add_argument("--n-max", type=_rank)
+    p.add_argument("--coord-max", type=_nonnegative)
+    add_cap(p, "dim_cap")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    parser = args.command_parser
+    for flag in ("l", "m"):
+        coords = getattr(args, flag, None)
+        if coords is not None:
+            if len(coords) != args.n - 1:
+                parser.error(
+                    f"--{flag}: expected {args.n - 1} coordinates for n={args.n}, "
+                    f"got {len(coords)}"
+                )
+            setattr(args, flag, Weight(args.n, coords))
     try:
-        code = _dispatch(args.command_parser, args)
+        payload, lines, code = _run(parser, args)
+        print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -192,13 +180,14 @@ def main(argv=None) -> int:
         return 1
 
 
-def _dispatch(parser: argparse.ArgumentParser, args) -> int:
+def _run(parser: argparse.ArgumentParser, args) -> tuple[object, list[str], int]:
+    """Run the subcommand; returns its JSON payload, its text lines and the
+    exit code."""
+    lam, mu = getattr(args, "l", None), getattr(args, "m", None)
+
     if args.command == "lr":
-        lam = _parse_weight(parser, args.n, args.l, "--l")
-        mu = _parse_weight(parser, args.n, args.m, "--m")
         dm = lr_coefficients(lam, mu)
-        _emit(args, dm.to_json(), _decomposition_lines(dm, f"V{lam} (x) V{mu} [n={args.n}]"))
-        return 0
+        return dm.to_json(), _decomposition_lines(dm, f"V{lam} (x) V{mu} [n={args.n}]"), 0
 
     if args.command == "dyck":
         paths = dyck_paths(args.n)
@@ -226,22 +215,18 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             + f" <= a[{p.base.i},{p.base.j}]"
             for p in system
         ]
-        _emit(args, payload, lines)
-        return 0
+        return payload, lines, 0
 
     if args.command == "points":
-        if args.bounds is not None:
+        if args.bounds is None and lam is not None and mu is not None:
+            bounds = bounds_from_pair(lam, mu)
+        elif args.bounds is not None and lam is None and mu is None:
             try:
-                values = tuple(int(v) for v in args.bounds.split(","))
-                bounds = BoundVector(args.n, values)
+                bounds = BoundVector(args.n, args.bounds)
             except ValueError as exc:
                 parser.error(f"--bounds: {exc}")
-        elif args.l is not None and args.m is not None:
-            lam = _parse_weight(parser, args.n, args.l, "--l")
-            mu = _parse_weight(parser, args.n, args.m, "--m")
-            bounds = bounds_from_pair(lam, mu)
         else:
-            parser.error("points needs either --bounds or both --l and --m")
+            parser.error("points takes either --bounds or both --l and --m")
         pts = lattice_points(bounds)
         payload = {
             "n": args.n,
@@ -251,56 +236,40 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         }
         lines = [f"bounds {bounds.values}: {len(pts)} lattice points"]
         lines += [f"  {_monomial(p)}   (deg {p.deg})" for p in pts]
-        _emit(args, payload, lines)
-        return 0
+        return payload, lines, 0
 
     if args.command == "hw-candidates":
-        lam = _parse_weight(parser, args.n, args.l, "--l")
-        mu = _parse_weight(parser, args.n, args.m, "--m")
         pts = dominant_points(lam, mu)
         payload = {
             "n": args.n,
             "lambda1": lam.to_json(),
             "lambda2": mu.to_json(),
             "count": len(pts),
-            "points": [
-                {"point": p.to_json(), "tau": tau.to_json()} for p, tau in pts
-            ],
+            "points": [{"point": p.to_json(), "tau": tau.to_json()} for p, tau in pts],
         }
         lines = [f"{len(pts)} dominant-weight points for V{lam} (x) V{mu}:"]
-        lines += [
-            f"  {_monomial(p):<30} tau {tau}   (deg {p.deg})" for p, tau in pts
-        ]
-        _emit(args, payload, lines)
-        return 0
+        lines += [f"  {_monomial(p):<30} tau {tau}   (deg {p.deg})" for p, tau in pts]
+        return payload, lines, 0
 
     if args.command == "case":
-        reports = verify_case(
-            args.tag,
-            m_max=args.m_max,
-            n_values=args.n_values,
-            coord_max=args.coord_max,
-            k_max=args.k_max,
-        )
+        ranges = _given(args, "m_max", "n_values", "coord_max", "k_max")
+        try:
+            reports = verify_case(args.tag, **ranges)
+        except ValueError as exc:
+            # raised before any sweep: a range this regime does not read
+            parser.error(str(exc))
         mismatched = [r for r in reports if not r.equal]
-        payload = [r.to_json() for r in reports]
-        lines = [
-            f"case {args.tag}: {len(reports)} comparisons, {len(mismatched)} mismatches"
-        ]
+        lines = [f"case {args.tag}: {len(reports)} comparisons, {len(mismatched)} mismatches"]
         for r in mismatched:
             lines.append(f"  MISMATCH {r.params}")
             for tau, a, c in r.mismatches:
                 lines.append(f"    tau {tau}: formula {a}, oracle {c}")
-        _emit(args, payload, lines)
-        return 0 if not mismatched else 1
+        return [r.to_json() for r in reports], lines, 1 if mismatched else 0
 
     if args.command == "fusion":
-        lam = _parse_weight(parser, args.n, args.l, "--l")
-        mu = _parse_weight(parser, args.n, args.m, "--m")
         # for two factors the grading does not depend on the evaluation points
-        graded = fusion_graded(
-            build_irrep(lam, args.cap), 0, build_irrep(mu, args.cap), 1
-        )
+        cap = _given(args, "cap")
+        graded = fusion_graded(build_irrep(lam, **cap), 0, build_irrep(mu, **cap), 1)
         lines = [f"fusion V{lam} (x) V{mu} [n={args.n}]"]
         for s, dm in graded.slices():
             terms = ", ".join(
@@ -308,11 +277,9 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             )
             lines.append(f"  degree {s}: {terms}")
         lines.append(f"  total dimension {graded.dimension()}")
-        _emit(args, graded.to_json(), lines)
-        return 0
+        return graded.to_json(), lines, 0
 
     if args.command == "poset":
-        lam = _parse_weight(parser, args.n, args.l, "--l")
         report = poset_report(lam)
         lines = [f"poset of {lam} [n={args.n}]: {len(report.nodes)} elements"]
         for idx, node in enumerate(report.nodes):
@@ -322,11 +289,9 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             lines.append(f"  [{a}] <= [{b}]   schur_positive={positive}")
         lines.append(f"minimum {report.min_pair}")
         lines.append(f"maximum {report.max_pair}")
-        _emit(args, report.to_json(), lines)
-        return 0
+        return report.to_json(), lines, 0
 
     if args.command == "weyl":
-        lam = _parse_weight(parser, args.n, args.l, "--l")
         prediction = weyl_character_prediction(lam)
         status = (
             "conjectural"
@@ -338,25 +303,15 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             f"truncated Weyl module character at {lam} [n={args.n}] ({status})",
         )
         lines.insert(1, f"  maximal pair {prediction.max_pair}")
-        _emit(args, prediction.to_json(), lines)
-        return 0
+        return prediction.to_json(), lines, 0
 
-    if args.command == "verify":
-        results = run_all(n_max=args.n_max, coord_max=args.coord_max, dim_cap=args.cap)
-        payload = [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "elapsed": round(r.elapsed, 3),
-            }
-            for r in results
-        ]
-        lines = [r.line() for r in results]
-        ok = all(r.passed for r in results)
-        lines.append("all checks passed" if ok else "FAILURES PRESENT")
-        _emit(args, payload, lines)
-        return 0 if ok else 1
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # verify, the last subcommand
+    results = run_all(**_given(args, "n_max", "coord_max", "dim_cap"))
+    payload = [
+        {"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed": round(r.elapsed, 3)}
+        for r in results
+    ]
+    ok = all(r.passed for r in results)
+    lines = [r.line() for r in results]
+    lines.append("all checks passed" if ok else "FAILURES PRESENT")
+    return payload, lines, 0 if ok else 1

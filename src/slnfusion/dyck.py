@@ -28,6 +28,7 @@ from typing import Iterable, Mapping
 from .typea import (
     Root,
     Weight,
+    exact_ints,
     pairing,
     positive_root_index,
     positive_roots,
@@ -131,7 +132,7 @@ class BoundVector:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
+        values = exact_ints(self.values, "bounds")
         expected = self.n * (self.n - 1) // 2
         if len(values) != expected:
             raise ValueError(
@@ -174,7 +175,7 @@ class LatticePoint:
     exps: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(map(int, self.exps))
+        exps = exact_ints(self.exps, "exponents")
         expected = self.n * (self.n - 1) // 2
         if len(exps) != expected:
             raise ValueError(
@@ -192,7 +193,7 @@ class LatticePoint:
     def from_sparse(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "LatticePoint":
         exps = [0] * (n * (n - 1) // 2)
         for i, j, s in triples:
-            exps[positive_root_index(Root(n, i, j))] += int(s)
+            exps[positive_root_index(Root(n, i, j))] += s
         return cls(n, tuple(exps))
 
     def __add__(self, other: "LatticePoint") -> "LatticePoint":

@@ -38,6 +38,7 @@ from .linalg import IntegerRowSpan, RationalRowBasis
 from .tensor import DecompositionMap
 from .typea import (
     Weight,
+    exact_ints,
     root_lattice_height,
     simple_root_weight,
     weight_multiplicities,
@@ -283,8 +284,7 @@ def peel_character(char: Mapping[Weight, int]) -> DecompositionMap:
     module character."""
     left: dict[Weight, int] = {}
     n = None
-    for w, m in char.items():
-        m = int(m)
+    for w, m in zip(char, exact_ints(char.values(), "character entries")):
         if m < 0:
             raise ValueError(f"character entries must be nonnegative, got {m} at {w}")
         if m:
@@ -331,8 +331,10 @@ class GradedDecomposition:
     entries: dict[tuple[int, Weight], int]
 
     def __post_init__(self):
+        mults = exact_ints(self.entries.values(), "multiplicities")
+        self.entries = dict(zip(self.entries, mults))
         for (s, tau), m in self.entries.items():
-            if s < 0 or int(m) <= 0 or tau.n != self.n or not tau.is_dominant:
+            if s < 0 or m <= 0 or tau.n != self.n or not tau.is_dominant:
                 raise ValueError(f"bad graded entry ({s}, {tau}) -> {m}")
 
     @property

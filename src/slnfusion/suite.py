@@ -127,10 +127,9 @@ def _fuse(lam1: Weight, lam2: Weight, dim_cap: int) -> GradedDecomposition:
     return fusion_graded(build_irrep(lam1, dim_cap), 0, build_irrep(lam2, dim_cap), 1)
 
 
-def _oracle_comparisons(*cases: str, **ranges):
+def _oracle_comparisons(reports):
     """Outcome of the closed forms that `verify_case` sweeps against the
     oracle."""
-    reports = [r for case in cases for r in verify_case(case, **ranges)]
     return f"{len(reports)} comparisons", [r.to_json() for r in reports if not r.equal]
 
 
@@ -154,14 +153,15 @@ def check_sl2(dim_cap: int = DEFAULT_DIM_CAP):
 def check_rectangular():
     """Rectangular closed form and its lattice-point presentation against the
     oracle."""
-    return _oracle_comparisons("rectangular", n_values=(3, 4, 5), m_max=3)
+    return _oracle_comparisons(verify_case("rectangular", n_values=(3, 4, 5), m_max=3))
 
 
 @_check("pieri-theorems")
 def check_pieri():
     """Row and column product rules against the oracle."""
     return _oracle_comparisons(
-        "pieri-row", "pieri-column", n_values=(3, 4), coord_max=3, k_max=4
+        verify_case("pieri-row", n_values=(3, 4), coord_max=3, k_max=4)
+        + verify_case("pieri-column", n_values=(3, 4), coord_max=3)
     )
 
 
@@ -169,7 +169,7 @@ def check_pieri():
 def check_large():
     """Dominant-orbit pairs: translated-diagram formula and the dominant
     lattice-point counts against the oracle."""
-    return _oracle_comparisons("large", n_values=(3, 4), coord_max=3)
+    return _oracle_comparisons(verify_case("large", n_values=(3, 4), coord_max=3))
 
 
 @_check("ffol-count")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .typea import Weight, _diagram_parts, weyl_dim
+from .typea import Weight, _diagram_parts, exact_ints, weyl_dim
 
 __all__ = [
     "DecompositionMap",
@@ -38,12 +38,11 @@ class _WeightMap:
     def __init__(self, n: int, entries: Mapping[Weight, int]):
         self.n = int(n)
         checked: dict[Weight, int] = {}
-        for w, m in entries.items():
+        for w, m in zip(entries, exact_ints(entries.values(), "multiplicities")):
             if not isinstance(w, Weight) or w.n != self.n:
                 raise ValueError(f"entry {w} does not belong to sl_{self.n}")
             if not w.is_dominant:
                 raise ValueError(f"entry {w} is not dominant")
-            m = int(m)
             if m == 0:
                 continue
             if m < 0 and not self._allow_negative:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +38,16 @@ __all__ = [
 ]
 
 
+def exact_ints(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints.  Each entry must be an exact integer (it
+    has `__index__`): a float, Fraction or string raises ValueError rather
+    than being truncated or parsed."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {list(values)!r}") from None
+
+
 def _check_rank(n: int) -> None:
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"rank must be an integer >= 2, got {n!r}")
@@ -51,7 +62,7 @@ class Weight:
 
     def __post_init__(self):
         _check_rank(self.n)
-        coords = tuple(int(c) for c in self.coords)
+        coords = exact_ints(self.coords, "weight coordinates")
         if len(coords) != self.n - 1:
             raise ValueError(
                 f"weight for sl_{self.n} needs {self.n - 1} coordinates, got {len(coords)}"
@@ -80,7 +91,7 @@ class Weight:
     @classmethod
     def from_parts(cls, n: int, parts) -> "Weight":
         """Weight whose epsilon-coordinate representative is `parts` (length n)."""
-        parts = tuple(int(p) for p in parts)
+        parts = exact_ints(parts, "parts")
         if len(parts) != n:
             raise ValueError(f"parts vector for sl_{n} needs length {n}, got {len(parts)}")
         return cls(n, tuple(parts[i] - parts[i + 1] for i in range(n - 1)))

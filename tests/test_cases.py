@@ -186,13 +186,33 @@ def test_proven_regime():
     assert proven_regime(Weight(3, (2, 1)), Weight(3, (1, 2))) is None
 
 
+# the ranges each regime's sweep reads, at small values
+READ_RANGES = {
+    "sl2": {"m_max": 1},
+    "rectangular": {"n_values": (3,), "m_max": 1},
+    "pieri-row": {"n_values": (3,), "coord_max": 1, "k_max": 1},
+    "pieri-column": {"n_values": (3,), "coord_max": 1},
+    "large": {"n_values": (3,), "coord_max": 1},
+}
+ALL_RANGES = {"m_max": 1, "n_values": (3,), "coord_max": 1, "k_max": 1}
+
+
 def test_verify_case_tags():
-    for tag in ("sl2", "rectangular", "pieri-row", "pieri-column", "large"):
-        reports = verify_case(tag, m_max=1, n_values=(3,), coord_max=1, k_max=1)
+    for tag, ranges in READ_RANGES.items():
+        reports = verify_case(tag, **ranges)
         assert reports
         assert all(r.equal for r in reports)
     with pytest.raises(ValueError):
         verify_case("unknown")
+
+
+@pytest.mark.parametrize("tag", READ_RANGES)
+def test_verify_case_refuses_ranges_it_does_not_read(tag):
+    unread = [name for name in ALL_RANGES if name not in READ_RANGES[tag]]
+    assert unread
+    for name in unread:
+        with pytest.raises(ValueError, match=f"case {tag} reads only .*, not {name}$"):
+            verify_case(tag, **{name: ALL_RANGES[name]}, **READ_RANGES[tag])
 
 
 def test_case_report_mismatch_bookkeeping():

@@ -156,14 +156,39 @@ def test_cap_and_rank_below_range_are_usage_errors(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+# every (tag, range flag) pair whose range the tag's sweep does not read
+UNREAD_RANGES = [
+    ("sl2", "--n-values", "9"),
+    ("sl2", "--coord-max", "7"),
+    ("sl2", "--k-max", "5"),
+    ("rectangular", "--coord-max", "7"),
+    ("rectangular", "--k-max", "5"),
+    ("pieri-row", "--m-max", "5"),
+    ("pieri-column", "--m-max", "5"),
+    ("pieri-column", "--k-max", "5"),
+    ("large", "--m-max", "5"),
+    ("large", "--k-max", "5"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--n-max", "1"],
         ["lr", "--n", "3", "--l", "1,0,0", "--m", "0,1"],
         ["points", "--n", "3"],
+        ["points", "--n", "3", "--bounds", "1,1,0", "--l", "1,0"],
+        ["points", "--n", "3", "--bounds", "1,1,0", "--m", "1,1"],
+        *(["case", "--tag", tag, flag, value] for tag, flag, value in UNREAD_RANGES),
     ],
-    ids=["verify --n-max 1", "lr --l 1,0,0", "points without bounds"],
+    ids=[
+        "verify --n-max 1",
+        "lr --l 1,0,0",
+        "points without bounds",
+        "points --bounds --l",
+        "points --bounds --m",
+        *(f"case --tag {tag} {flag}" for tag, flag, _ in UNREAD_RANGES),
+    ],
 )
 def test_usage_errors_show_the_subcommand_usage(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from slnfusion.dyck import BoundVector, LatticePoint
+from slnfusion.fusion import GradedDecomposition, peel_character
+from slnfusion.tensor import DecompositionMap
 from slnfusion.typea import (
     Root,
     Weight,
@@ -39,6 +42,38 @@ def test_weight_construction_and_validation():
         Weight(1, ())
     with pytest.raises(ValueError):
         Weight(3, (1, "x"))
+
+
+V11 = Weight(3, (1, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: Weight(3, (x, 2)),
+        lambda x: Weight.from_parts(3, (x, 1, 0)),
+        lambda x: BoundVector(3, (x, 0, 0)),
+        lambda x: LatticePoint(3, (x, 0, 0)),
+        lambda x: LatticePoint.from_sparse(3, [(1, 1, x)]),
+        lambda x: DecompositionMap(3, {V11: x}),
+        lambda x: GradedDecomposition(3, V11, V11, {(0, V11): x}),
+        lambda x: peel_character({Weight.zero(3): x}),
+    ],
+    ids=[
+        "Weight",
+        "Weight.from_parts",
+        "BoundVector",
+        "LatticePoint",
+        "LatticePoint.from_sparse",
+        "DecompositionMap",
+        "GradedDecomposition",
+        "peel_character",
+    ],
+)
+@pytest.mark.parametrize("value", [1.9, 0.5, 2.0, Fraction(3, 2), Fraction(2)])
+def test_non_integer_entries_are_rejected_not_truncated(build, value):
+    with pytest.raises(ValueError, match="must be integers"):
+        build(value)
 
 
 def test_weight_algebra():
