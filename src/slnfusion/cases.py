@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .dyck import LatticePoint, dominant_points
 from .tensor import DecompositionMap, lr_coefficients
@@ -74,12 +74,9 @@ def rect_hw_points(
 
     def rec(q: int, prev: int, acc: list[int]) -> None:
         if q > p:
-            pt = LatticePoint.zero(n)
-            for step, a in enumerate(acc):
-                if a:
-                    pt = pt + LatticePoint.from_sparse(
-                        n, [(i - step, j + step, a)]
-                    )
+            pt = LatticePoint.from_sparse(
+                n, [(i - step, j + step, a) for step, a in enumerate(acc)]
+            )
             tau = lam - pt.wt
             if not tau.is_dominant:
                 raise AssertionError(f"rectangular point {acc} left the dominant chamber")
@@ -91,7 +88,7 @@ def rect_hw_points(
             acc.pop()
 
     rec(0, cap, [])
-    out.sort(key=lambda pw: pw[0].sort_key())
+    out.sort(key=lambda pw: (pw[0].deg, pw[0].exps))
     return out
 
 
@@ -274,16 +271,6 @@ class CaseReport:
                 {"tau": w.to_json(), "a": a, "c": c} for w, a, c in self.mismatches
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "CaseReport":
-        report = cls(
-            case=str(data["case"]),
-            params=dict(data["params"]),
-            a_side=DecompositionMap.from_json(data["a"]),
-            c_side=DecompositionMap.from_json(data["c"]),
-        )
-        return report
 
 
 def _points_as_map(n: int, pts: Iterable[tuple[LatticePoint, Weight]]) -> DecompositionMap:

@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .typea import (
     Root,
     Weight,
+    _check_rank,
     exact_ints,
     pairing,
     positive_root_index,
@@ -132,6 +133,7 @@ class BoundVector:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        _check_rank(self.n)
         values = exact_ints(self.values, "bounds")
         expected = self.n * (self.n - 1) // 2
         if len(values) != expected:
@@ -175,6 +177,7 @@ class LatticePoint:
     exps: tuple[int, ...]
 
     def __post_init__(self):
+        _check_rank(self.n)
         exps = exact_ints(self.exps, "exponents")
         expected = self.n * (self.n - 1) // 2
         if len(exps) != expected:
@@ -186,20 +189,11 @@ class LatticePoint:
         object.__setattr__(self, "exps", exps)
 
     @classmethod
-    def zero(cls, n: int) -> "LatticePoint":
-        return cls(n, (0,) * (n * (n - 1) // 2))
-
-    @classmethod
     def from_sparse(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "LatticePoint":
         exps = [0] * (n * (n - 1) // 2)
         for i, j, s in triples:
             exps[positive_root_index(Root(n, i, j))] += s
         return cls(n, tuple(exps))
-
-    def __add__(self, other: "LatticePoint") -> "LatticePoint":
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: sl_{self.n} vs sl_{other.n}")
-        return LatticePoint(self.n, tuple(a + b for a, b in zip(self.exps, other.exps)))
 
     @property
     def deg(self) -> int:
@@ -213,9 +207,6 @@ class LatticePoint:
             self.n, [sum(map(mul, self.exps, col)) for col in _root_weight_columns(self.n)]
         )
 
-    def sort_key(self) -> tuple:
-        return (self.deg, self.exps)
-
     def to_json(self) -> dict:
         trips = [
             [r.i, r.j, s]
@@ -223,10 +214,6 @@ class LatticePoint:
             if s
         ]
         return {"exps": trips}
-
-    @classmethod
-    def from_json(cls, n: int, data: Mapping) -> "LatticePoint":
-        return cls.from_sparse(n, ((i, j, s) for i, j, s in data["exps"]))
 
 
 @lru_cache(maxsize=None)

@@ -38,6 +38,7 @@ from .linalg import IntegerRowSpan, RationalRowBasis
 from .tensor import DecompositionMap
 from .typea import (
     Weight,
+    _check_rank,
     exact_ints,
     root_lattice_height,
     simple_root_weight,
@@ -331,8 +332,12 @@ class GradedDecomposition:
     entries: dict[tuple[int, Weight], int]
 
     def __post_init__(self):
+        _check_rank(self.n)
+        degrees = exact_ints([s for s, _ in self.entries], "degrees")
         mults = exact_ints(self.entries.values(), "multiplicities")
-        self.entries = dict(zip(self.entries, mults))
+        self.entries = {
+            (s, tau): m for s, (_, tau), m in zip(degrees, self.entries, mults)
+        }
         for (s, tau), m in self.entries.items():
             if s < 0 or m <= 0 or tau.n != self.n or not tau.is_dominant:
                 raise ValueError(f"bad graded entry ({s}, {tau}) -> {m}")
@@ -367,22 +372,6 @@ class GradedDecomposition:
                 {"degree": s, "terms": dm.to_json()["terms"]} for s, dm in self.slices()
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "GradedDecomposition":
-        n = int(data["n"])
-        entries: dict[tuple[int, Weight], int] = {}
-        for sl in data["slices"]:
-            s = int(sl["degree"])
-            dm = DecompositionMap.from_json({"n": n, "terms": sl["terms"]})
-            for tau, m in dm.items_sorted():
-                entries[(s, tau)] = m
-        return cls(
-            n=n,
-            lambda1=Weight(n, tuple(data["lambda1"])),
-            lambda2=Weight(n, tuple(data["lambda2"])),
-            entries=entries,
-        )
 
 
 def _lowering_maps(m1: ExplicitModule, m2: ExplicitModule):

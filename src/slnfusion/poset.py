@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 from .cases import proven_regime
 from .dyck import BoundVector, bounds_from_pair
@@ -75,10 +74,6 @@ class WeightPair:
 
     def to_json(self) -> dict:
         return {"first": self.first.to_json(), "second": self.second.to_json()}
-
-    @classmethod
-    def from_json(cls, n: int, data: Mapping) -> "WeightPair":
-        return cls(Weight(n, tuple(data["first"])), Weight(n, tuple(data["second"])))
 
 
 def enumerate_pairs(lam: Weight) -> list[WeightPair]:
@@ -150,19 +145,6 @@ class WeylModulePrediction:
             "conjectural": self.conjectural,
         }
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "WeylModulePrediction":
-        n = int(data["n"])
-        lam = Weight(n, tuple(data["lambda"]))
-        pair = WeightPair.from_json(n, data["max_pair"])
-        return cls(
-            lam=lam,
-            max_pair=pair,
-            character=DecompositionMap.from_json({"n": n, "terms": data["terms"]}),
-            dimension=int(data["dim"]),
-            proven_regime=data["proven_regime"],
-        )
-
 
 def weyl_character_prediction(lam: Weight) -> WeylModulePrediction:
     """Character prediction for the truncated local Weyl module at lam."""
@@ -181,11 +163,6 @@ def weyl_character_prediction(lam: Weight) -> WeylModulePrediction:
         dimension=dim,
         proven_regime=proven_regime(pair.first, pair.second),
     )
-
-
-def _order_matrix(nodes) -> tuple[tuple[bool, ...], ...]:
-    """`order_leq` on every ordered pair: entry [a][b] is nodes[a] <= nodes[b]."""
-    return tuple(tuple(order_leq(a, b) for b in nodes) for a in nodes)
 
 
 @dataclass(frozen=True)
@@ -215,23 +192,6 @@ class PosetReport:
             "max_pair": self.max_pair.to_json(),
         }
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "PosetReport":
-        n = int(data["n"])
-        nodes = tuple(WeightPair.from_json(n, p) for p in data["nodes"])
-        edges = tuple(
-            (int(e["from"]), int(e["to"]), bool(e["schur_positive"]))
-            for e in data["edges"]
-        )
-        return cls(
-            lam=Weight(n, tuple(data["lambda"])),
-            nodes=nodes,
-            edges=edges,
-            min_pair=WeightPair.from_json(n, data["min_pair"]),
-            max_pair=WeightPair.from_json(n, data["max_pair"]),
-            leq=_order_matrix(nodes),
-        )
-
 
 def poset_report(lam: Weight) -> PosetReport:
     """Full poset snapshot: cover edges only (transitive reduction), each
@@ -241,7 +201,7 @@ def poset_report(lam: Weight) -> PosetReport:
     covers and the extremal-element assertions all read that one matrix."""
     nodes = enumerate_pairs(lam)
     k = len(nodes)
-    leq = _order_matrix(nodes)
+    leq = tuple(tuple(order_leq(a, b) for b in nodes) for a in nodes)
     below = [[leq[a][b] and not leq[b][a] for b in range(k)] for a in range(k)]
     edges = []
     for a in range(k):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .typea import Weight, _diagram_parts, exact_ints, weyl_dim
+from .typea import Weight, _check_rank, _diagram_parts, exact_ints, weyl_dim
 
 __all__ = [
     "DecompositionMap",
@@ -36,7 +36,8 @@ class _WeightMap:
     _allow_negative = True
 
     def __init__(self, n: int, entries: Mapping[Weight, int]):
-        self.n = int(n)
+        _check_rank(n)
+        self.n = n
         checked: dict[Weight, int] = {}
         for w, m in zip(entries, exact_ints(entries.values(), "multiplicities")):
             if not isinstance(w, Weight) or w.n != self.n:
@@ -86,12 +87,6 @@ class _WeightMap:
             "n": self.n,
             "terms": [{"tau": w.to_json(), "mult": m} for w, m in self._entries.items()],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "_WeightMap":
-        n = int(data["n"])
-        entries = {Weight(n, tuple(t["tau"])): int(t["mult"]) for t in data["terms"]}
-        return cls(n, entries)
 
 
 class DecompositionMap(_WeightMap):

@@ -158,7 +158,10 @@ class Root:
 
     def __post_init__(self):
         _check_rank(self.n)
-        if not 1 <= self.i <= self.j <= self.n - 1:
+        i, j = exact_ints((self.i, self.j), "root indices")
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        if not 1 <= i <= j <= self.n - 1:
             raise ValueError(
                 f"positive root of sl_{self.n} needs 1 <= i <= j <= {self.n - 1}, "
                 f"got (i, j) = ({self.i}, {self.j})"

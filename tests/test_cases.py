@@ -227,6 +227,3 @@ def test_case_report_mismatch_bookkeeping():
     payload = report.to_json()
     assert payload["equal"] is False
     assert payload["mismatches"][0] == {"tau": [1, 1], "a": 1, "c": 2}
-    round_tripped = CaseReport.from_json(payload)
-    assert round_tripped.equal == report.equal
-    assert round_tripped.mismatches == report.mismatches

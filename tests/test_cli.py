@@ -1,5 +1,6 @@
-"""Command-line surface: output shapes, exit codes, JSON round-trips."""
+"""Command-line surface: output shapes, exit codes, JSON payloads."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,16 +10,11 @@ from pathlib import Path
 import pytest
 
 import slnfusion
-from slnfusion.cases import CaseReport
+from slnfusion.cases import verify_case
 from slnfusion.cli import main
-from slnfusion.fusion import GradedDecomposition, build_irrep, fusion_graded
-from slnfusion.poset import (
-    PosetReport,
-    WeylModulePrediction,
-    poset_report,
-    weyl_character_prediction,
-)
-from slnfusion.tensor import DecompositionMap, lr_coefficients
+from slnfusion.fusion import build_irrep, fusion_graded
+from slnfusion.poset import poset_report, weyl_character_prediction
+from slnfusion.tensor import lr_coefficients
 from slnfusion.typea import Weight
 
 
@@ -36,11 +32,60 @@ def test_lr_text(capsys):
     assert "total dimension 9" in out
 
 
-def test_lr_json_round_trip(capsys):
-    code, out = run(capsys, "lr", "--n", "3", "--l", "1,0", "--m", "0,1", "--format", "json")
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        (["lr", "--n", "3", "--l", "1,0", "--m", "0,1"],
+         lambda: lr_coefficients(Weight(3, (1, 0)), Weight(3, (0, 1))).to_json()),
+        (["case", "--tag", "sl2", "--m-max", "2"],
+         lambda: [r.to_json() for r in verify_case("sl2", m_max=2)]),
+        (["fusion", "--n", "3", "--l", "1,1", "--m", "1,0"],
+         lambda: fusion_graded(
+             build_irrep(Weight(3, (1, 1))), 0, build_irrep(Weight(3, (1, 0))), 1
+         ).to_json()),
+        (["poset", "--n", "2", "--l", "4"],
+         lambda: poset_report(Weight(2, (4,))).to_json()),
+        (["weyl", "--n", "3", "--l", "2,1"],
+         lambda: weyl_character_prediction(Weight(3, (2, 1))).to_json()),
+    ],
+    ids=["lr", "case", "fusion", "poset", "weyl"],
+)
+def test_json_output_is_the_library_payload(capsys, argv, result):
+    code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
-    parsed = DecompositionMap.from_json(json.loads(out))
-    assert parsed == lr_coefficients(Weight(3, (1, 0)), Weight(3, (0, 1)))
+    assert json.loads(out) == result()
+
+
+# sha256 of the `--format json` stdout of one small input per subcommand
+# (all but `verify`, whose payload carries timings); a change to any payload
+# shape or value shows here
+JSON_DIGESTS = [
+    (["lr", "--n", "3", "--l", "1,0", "--m", "0,1"],
+     "f9834f65a929730eaa3307b6a79601c05a8f30fb318260b18f9f8a5d7230ce1e"),
+    (["dyck", "--n", "3"],
+     "bd5ecc6cc6c1a4206d963de39d8615d85dc428c7b78aee8b6715472b1d6ccec8"),
+    (["points", "--n", "3", "--l", "1,1", "--m", "1,0"],
+     "ac37f1ec16d05b4d72e08a4ac8ef5c5ae8f2f55b2325427391834022e2232cc9"),
+    (["hw-candidates", "--n", "3", "--l", "1,1", "--m", "1,1"],
+     "9130bcf41cc4409828efe49e358db891bbef33ceb8cb9634e54b5d54a94cca02"),
+    (["case", "--tag", "sl2", "--m-max", "2"],
+     "3e24b69d9389ad8465a153e96cf7e0dc05f60d52af446230e1b4115343178662"),
+    (["fusion", "--n", "3", "--l", "1,1", "--m", "1,0"],
+     "be041d27a9288abeb3b5c4b04ca039bbeab7a3bd67926275b454e8b0d1ca2227"),
+    (["poset", "--n", "3", "--l", "1,1"],
+     "3893cd163d1f9bacd8b3f42fb5cb82959dca61fd4dd571ca69e97aa5288ccdc7"),
+    (["weyl", "--n", "3", "--l", "1,1"],
+     "9e4066ad6ef14f0cd3f431b26559e2f0c9b86e70096ffd8b2bbbf910e0332d69"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", JSON_DIGESTS, ids=[argv[0] for argv, _ in JSON_DIGESTS]
+)
+def test_json_output_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_points_count_anchor(capsys):
@@ -89,45 +134,22 @@ def test_closed_stdout_exits_1_without_traceback():
     # about 0.5 MB of output, far more than a pipe buffers, so the command is
     # still writing when the reader closes the pipe after one line
     env = dict(os.environ, PYTHONPATH=str(Path(slnfusion.__file__).parents[1]))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "slnfusion", "dyck", "--n", "8", "--no-prune"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    assert proc.stdout.readline() == b"2938 Dyck paths for n=8:\n"
-    proc.stdout.close()
-    assert proc.stderr.read() == b""
-    assert proc.wait(timeout=60) == 1
+    ) as proc:
+        assert proc.stdout.readline() == b"2938 Dyck paths for n=8:\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
 
 
 def test_hw_candidates(capsys):
     code, out = run(capsys, "hw-candidates", "--n", "3", "--l", "1,0", "--m", "0,1")
     assert code == 0
     assert "2 dominant-weight points" in out
-
-
-def test_case_json_round_trip(capsys):
-    code, out = run(
-        capsys, "case", "--tag", "sl2", "--m-max", "2", "--format", "json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    reports = [CaseReport.from_json(item) for item in payload]
-    assert reports
-    assert all(r.equal for r in reports)
-
-
-def test_fusion_json_round_trip(capsys):
-    code, out = run(
-        capsys, "fusion", "--n", "3", "--l", "1,1", "--m", "1,0", "--format", "json"
-    )
-    assert code == 0
-    parsed = GradedDecomposition.from_json(json.loads(out))
-    expected = fusion_graded(
-        build_irrep(Weight(3, (1, 1))), 0, build_irrep(Weight(3, (1, 0))), 1
-    )
-    assert parsed == expected
 
 
 def test_fusion_cap_exit(capsys):
@@ -257,20 +279,6 @@ def test_sweep_limits_that_check_nothing_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert argv[-2] in capsys.readouterr().err
-
-
-def test_poset_json_round_trip(capsys):
-    code, out = run(capsys, "poset", "--n", "2", "--l", "4", "--format", "json")
-    assert code == 0
-    parsed = PosetReport.from_json(json.loads(out))
-    assert parsed == poset_report(Weight(2, (4,)))
-
-
-def test_weyl_json_round_trip(capsys):
-    code, out = run(capsys, "weyl", "--n", "3", "--l", "2,1", "--format", "json")
-    assert code == 0
-    parsed = WeylModulePrediction.from_json(json.loads(out))
-    assert parsed == weyl_character_prediction(Weight(3, (2, 1)))
 
 
 def test_weight_parse_errors(capsys):

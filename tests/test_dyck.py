@@ -1,7 +1,6 @@
 """Dyck paths, the inequality system, and lattice-point enumeration."""
 
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,20 +183,20 @@ def test_bounds_from_weight_is_pairing_vector():
 
 
 def test_lattice_point_basics():
-    zero = LatticePoint.zero(3)
+    zero = LatticePoint(3, (0, 0, 0))
     assert zero.deg == 0
     assert zero.wt == Weight.zero(3)
     e12 = LatticePoint.from_sparse(3, [(1, 2, 1)])
     assert e12.deg == 1
     assert e12.wt == Weight(3, (1, 1))
     assert e12.exps == (0, 1, 0)
-    double = e12 + e12
+    double = LatticePoint.from_sparse(3, [(1, 2, 1), (1, 2, 1)])
     assert double.exps == (0, 2, 0)
     assert double.deg == 2
     both = LatticePoint.from_sparse(3, [(1, 1, 2), (2, 2, 1)])
     assert both.exps == (2, 0, 1)
     with pytest.raises(ValueError):
-        e12 + LatticePoint.zero(4)
+        LatticePoint.from_sparse(3, [(1, 3, 1)])
 
 
 def test_lattice_point_validation():
@@ -215,22 +214,10 @@ def test_lattice_point_weight_matches_weight_sum():
             assert p.wt == weight_sum(p)
 
 
-@settings(deadline=None, max_examples=40)
-@given(data=st.data())
-def test_lattice_point_json_round_trip(data):
-    n = data.draw(st.integers(2, 4))
-    size = n * (n - 1) // 2
-    exps = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
-    p = LatticePoint(n, exps)
-    assert LatticePoint.from_json(n, json.loads(json.dumps(p.to_json()))) == p
-
-
 def test_lattice_point_json():
     p = LatticePoint.from_sparse(3, [(1, 2, 2), (2, 2, 1)])
     assert p.to_json() == {"exps": [[1, 2, 2], [2, 2, 1]]}
-    assert LatticePoint.from_json(3, p.to_json()) == p
-    assert LatticePoint.zero(3).to_json() == {"exps": []}
-    assert LatticePoint.from_json(3, {"exps": []}) == LatticePoint.zero(3)
+    assert LatticePoint(3, (0, 0, 0)).to_json() == {"exps": []}
 
 
 def test_lattice_points_frozen_small():
@@ -243,7 +230,7 @@ def test_lattice_points_frozen_small():
 def test_lattice_points_sorted_and_valid():
     bounds = BoundVector(3, (2, 2, 2))
     pts = lattice_points(bounds)
-    assert pts == sorted(pts, key=lambda p: p.sort_key())
+    assert pts == sorted(pts, key=lambda p: (p.deg, p.exps))
     assert len(set(pts)) == len(pts)
     for p in pts:
         assert point_satisfies(p, bounds)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import json
 import time
 from fractions import Fraction
 
@@ -218,33 +217,6 @@ def character_of(dm):
 @given(dm=decomposition_maps())
 def test_peel_character_round_trip(dm):
     assert peel_character(character_of(dm)) == dm
-
-
-@settings(deadline=None, max_examples=40)
-@given(dm=decomposition_maps())
-def test_decomposition_map_json_round_trip(dm):
-    assert DecompositionMap.from_json(json.loads(json.dumps(dm.to_json()))) == dm
-
-
-@st.composite
-def graded_decompositions(draw):
-    n = draw(st.integers(2, 4))
-    entries = draw(
-        st.dictionaries(
-            st.tuples(st.integers(0, 3), small_weights(n)),
-            st.integers(1, 3),
-            max_size=5,
-        )
-    )
-    return GradedDecomposition(
-        n, draw(small_weights(n)), draw(small_weights(n)), entries
-    )
-
-
-@settings(deadline=None, max_examples=40)
-@given(g=graded_decompositions())
-def test_graded_decomposition_json_round_trip(g):
-    assert GradedDecomposition.from_json(json.loads(json.dumps(g.to_json()))) == g
 
 
 def test_fusion_graded_sl2_frozen():
@@ -467,7 +439,6 @@ def test_graded_decomposition_json():
     assert payload["n"] == 3
     assert payload["lambda1"] == [1, 1]
     assert payload["slices"][0]["degree"] == 0
-    assert GradedDecomposition.from_json(payload) == g
 
 
 def test_graded_decomposition_validation():

@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from slnfusion.dyck import bounds_from_pair
 from slnfusion.poset import (
-    PosetReport,
     WeightPair,
-    WeylModulePrediction,
     enumerate_pairs,
     maximal_pair,
     order_leq,
@@ -177,7 +175,6 @@ def test_weyl_prediction_json():
     assert payload["dim"] == weyl_dim(pred.max_pair.first) * weyl_dim(
         pred.max_pair.second
     )
-    assert WeylModulePrediction.from_json(payload) == pred
 
 
 def test_poset_report_frozen():
@@ -226,5 +223,9 @@ def test_poset_report_edges_are_covers(lam):
 
 
 def test_poset_report_json():
-    report = poset_report(Weight(3, (2, 1)))
-    assert PosetReport.from_json(report.to_json()) == report
+    payload = poset_report(Weight(3, (2, 1))).to_json()
+    assert payload["edges"] == [
+        {"from": 0, "to": 2, "schur_positive": True},
+        {"from": 2, "to": 1, "schur_positive": True},
+    ]
+    assert payload["max_pair"] == {"first": [1, 1], "second": [1, 0]}

@@ -57,7 +57,10 @@ V11 = Weight(3, (1, 1))
         lambda x: LatticePoint.from_sparse(3, [(1, 1, x)]),
         lambda x: DecompositionMap(3, {V11: x}),
         lambda x: GradedDecomposition(3, V11, V11, {(0, V11): x}),
+        lambda x: GradedDecomposition(3, V11, V11, {(x, V11): 1}),
         lambda x: peel_character({Weight.zero(3): x}),
+        lambda x: Root(3, x, 2),
+        lambda x: Root(3, 1, x),
     ],
     ids=[
         "Weight",
@@ -67,13 +70,32 @@ V11 = Weight(3, (1, 1))
         "LatticePoint.from_sparse",
         "DecompositionMap",
         "GradedDecomposition",
+        "GradedDecomposition degree",
         "peel_character",
+        "Root.i",
+        "Root.j",
     ],
 )
 @pytest.mark.parametrize("value", [1.9, 0.5, 2.0, Fraction(3, 2), Fraction(2)])
 def test_non_integer_entries_are_rejected_not_truncated(build, value):
     with pytest.raises(ValueError, match="must be integers"):
         build(value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: DecompositionMap(n, {}),
+        lambda n: BoundVector(n, (1, 1, 1)),
+        lambda n: LatticePoint(n, (1, 0, 0)),
+        lambda n: GradedDecomposition(n, V11, V11, {(0, V11): 1}),
+    ],
+    ids=["DecompositionMap", "BoundVector", "LatticePoint", "GradedDecomposition"],
+)
+@pytest.mark.parametrize("rank", [3.0, 3.9, 2.5, Fraction(3), "3"])
+def test_non_integer_ranks_are_rejected(build, rank):
+    with pytest.raises(ValueError, match="rank must be an integer >= 2"):
+        build(rank)
 
 
 def test_weight_algebra():
