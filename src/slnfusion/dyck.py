@@ -190,6 +190,7 @@ class LatticePoint:
 
     @classmethod
     def from_sparse(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "LatticePoint":
+        _check_rank(n)
         exps = [0] * (n * (n - 1) // 2)
         for i, j, s in triples:
             exps[positive_root_index(Root(n, i, j))] += s

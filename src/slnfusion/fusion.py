@@ -16,9 +16,14 @@ computed for each degree by one pass down the weights in order of height
 Modulo F_{s-1}, f_k (x) t acts on F_{s-1} as a nonzero multiple of
 1 (x) f_k (see `fusion_graded`), so the filtration does not depend on the
 points, and they are only checked to be distinct.
-The rows each degree adds, counted by weight, form the character of
-F_s / F_{s-1}; `peel_character` decomposes it into irreducibles, giving the
-graded decomposition.
+The pass stops at the dominant reach, the largest height of a dominant
+tensor weight.  Each F_s is an sl_n-submodule (sl_n (x) 1 has degree 0), so
+F_s / F_{s-1} is fixed by its dominant weight spaces; and F_s(mu) reads only
+the weights mu + alpha_k, of smaller height, so every weight the pass visits
+gets the rows it would get in a pass over all weights.  The rows each degree
+adds at the dominant weights, spread over their Weyl orbits, form the
+character of F_s / F_{s-1}; `peel_character` decomposes it into
+irreducibles, giving the graded decomposition.
 
 Every step of the filtration is a weight-space-local row reduction in plain
 integers (the lowering operators are scaled to integer matrices once), which
@@ -39,11 +44,13 @@ from .tensor import DecompositionMap
 from .typea import (
     Weight,
     _check_rank,
+    dominant_weight_multiplicities,
     exact_ints,
     root_lattice_height,
     simple_root_weight,
     weight_multiplicities,
     weyl_dim,
+    weyl_orbit,
 )
 
 __all__ = [
@@ -280,9 +287,14 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
 
 def peel_character(char: Mapping[Weight, int]) -> DecompositionMap:
     """Decompose a Weyl-invariant character (weight -> multiplicity, entries
-    nonnegative) into irreducibles by repeatedly stripping the diagram of a
-    maximal support weight; raises ValueError if the input is not a genuine
-    module character."""
+    nonnegative) into irreducibles; raises ValueError if the input is not a
+    genuine module character.
+
+    The input must be Weyl-invariant: the support is a union of complete
+    orbits, each with one multiplicity.  An invariant character is fixed by
+    its dominant part, so the strip runs there alone: it repeatedly removes
+    the dominant weights of V(top), top the maximal dominant support weight,
+    and rejects a multiplicity driven negative."""
     left: dict[Weight, int] = {}
     n = None
     for w, m in zip(char, exact_ints(char.values(), "character entries")):
@@ -293,26 +305,39 @@ def peel_character(char: Mapping[Weight, int]) -> DecompositionMap:
             n = w.n
     if n is None:
         raise ValueError("cannot peel an empty character")
-    found: dict[Weight, int] = {}
-    while left:
-        top = max(left, key=lambda w: w.to_parts())
-        if not top.is_dominant:
+
+    dominant = {w: m for w, m in left.items() if w.is_dominant}
+    covered = 0
+    for dom, m in dominant.items():
+        orbit = weyl_orbit(dom)
+        if any(left.get(w) != m for w in orbit):
             raise ValueError(
-                f"maximal support weight {top} is not dominant; not a module character"
+                f"the orbit of {dom} does not carry its multiplicity {m} "
+                "throughout; not a module character"
             )
-        mult = left[top]
-        for nu, m in weight_multiplicities(top).items():
-            val = left.get(nu, 0) - mult * m
+        covered += len(orbit)
+    if covered != len(left):
+        raise ValueError(
+            "some support weight has no dominant weight of its orbit in the "
+            "support; not a module character"
+        )
+
+    found: dict[Weight, int] = {}
+    while dominant:
+        top = max(dominant, key=lambda w: w.to_parts())
+        mult = dominant[top]
+        for nu, m in dominant_weight_multiplicities(top).items():
+            val = dominant.get(nu, 0) - mult * m
             if val > 0:
-                left[nu] = val
+                dominant[nu] = val
             elif val == 0:
-                left.pop(nu, None)
+                dominant.pop(nu, None)
             else:
                 raise ValueError(
                     f"stripping {mult} x V{top} drives the multiplicity of {nu} "
                     "negative; not a module character"
                 )
-        found[top] = found.get(top, 0) + mult
+        found[top] = mult
     return DecompositionMap(n, found)
 
 
@@ -403,7 +428,14 @@ def fusion_graded(
     as c1 (f_k (x) 1) + c2 (1 (x) f_k) = c1 f_k + (c2 - c1)(1 (x) f_k), and
     f_k y already lies in F_{s-1} for every y in F_{s-1}, so
     (f_k (x) t) F_{s-1} = (1 (x) f_k) F_{s-1} modulo F_{s-1} as c2 != c1.
-    The filtration is therefore built with 1 (x) f_k in place of f_k (x) t."""
+    The filtration is therefore built with 1 (x) f_k in place of f_k (x) t.
+
+    Only the weights mu with height(top - mu) at most the dominant reach are
+    visited, and only the dominant part of each degree is peeled:
+    - each F_s is sl_n-stable, so the dominant weights of F_s / F_{s-1}
+      fix its character, and all of them lie within the reach;
+    - F_s(mu) reads only F_s and F_{s-1} at mu + alpha_k, of smaller
+      height, so a visited weight gets the same rows as in a full pass."""
     c1 = Fraction(c1)
     c2 = Fraction(c2)
     if c1 == c2:
@@ -419,7 +451,9 @@ def fusion_graded(
     for w1, k1 in m1.weight_space_dims().items():
         for w2, k2 in m2.weight_space_dims().items():
             dims[w1 + w2] = dims.get(w1 + w2, 0) + k1 * k2
-    order = sorted(dims, key=lambda w: root_lattice_height(top - w))
+    height = {w: root_lattice_height(top - w) for w in dims}
+    reach = max(h for w, h in height.items() if w.is_dominant)
+    order = sorted((w for w in dims if height[w] <= reach), key=height.__getitem__)
     spaces = {w: IntegerRowSpan() for w in order}
 
     # Rows added in degrees s-1 and s, by weight.  A row gets f_k in the
@@ -432,15 +466,21 @@ def fusion_graded(
     degree = 0
     while total < full:
         _lowering_pass(order, dims, spaces, maps, new_rows, prev_rows)
-        # the rows added to mu in this degree s span F_s(mu) modulo F_{s-1}(mu)
-        slice_dims = {mu: len(rows) for mu, rows in new_rows.items() if rows}
-        if not slice_dims:
+        # the rows added to mu in this degree s span F_s(mu) modulo F_{s-1}(mu);
+        # each dominant count holds on the whole orbit of mu
+        char = {
+            w: len(rows)
+            for mu, rows in new_rows.items()
+            if rows and mu.is_dominant
+            for w in weyl_orbit(mu)
+        }
+        if not char:
             raise RuntimeError(
                 "degree filtration stalled before exhausting the tensor product"
             )
-        for tau, m in peel_character(slice_dims).items_sorted():
+        for tau, m in peel_character(char).items_sorted():
             entries[(degree, tau)] = m
-        total += sum(slice_dims.values())
+            total += m * weyl_dim(tau)
         prev_rows, new_rows = new_rows, {}
         degree += 1
 

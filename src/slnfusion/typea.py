@@ -73,6 +73,7 @@ class Weight:
 
     @classmethod
     def zero(cls, n: int) -> "Weight":
+        _check_rank(n)
         return cls(n, (0,) * (n - 1))
 
     @classmethod
@@ -86,6 +87,7 @@ class Weight:
     @classmethod
     def rho(cls, n: int) -> "Weight":
         """Half-sum of positive roots: all fundamental coordinates 1."""
+        _check_rank(n)
         return cls(n, (1,) * (n - 1))
 
     @classmethod

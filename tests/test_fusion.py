@@ -1,6 +1,7 @@
 """Explicit modules, character peeling, and graded fusion products."""
 
 import dataclasses
+import hashlib
 import itertools
 import time
 from fractions import Fraction
@@ -17,6 +18,7 @@ from slnfusion.fusion import (
     peel_character,
 )
 from slnfusion.linalg import RationalRowBasis
+from slnfusion.suite import _fusion_pairs
 from slnfusion.tensor import DecompositionMap, lr_coefficients
 from slnfusion.typea import Weight, weight_multiplicities, weyl_dim
 
@@ -183,10 +185,10 @@ def test_peel_character_rejects_non_characters():
         peel_character({Weight(3, (1, 0)): -1})
     with pytest.raises(ValueError):
         peel_character({})
-    # dominant top but the orbit is missing: subtraction must go negative
+    # dominant top but the rest of its orbit is missing
     with pytest.raises(ValueError):
         peel_character({Weight(3, (1, 0)): 1, Weight(3, (-1, 1)): 0})
-    # maximal support weight not dominant
+    # maximal support weight not dominant: its orbit is incomplete
     with pytest.raises(ValueError):
         peel_character({Weight(3, (-1, 1)): 1})
 
@@ -217,6 +219,24 @@ def character_of(dm):
 @given(dm=decomposition_maps())
 def test_peel_character_round_trip(dm):
     assert peel_character(character_of(dm)) == dm
+
+
+@settings(deadline=None, max_examples=40)
+@given(dm=decomposition_maps(), data=st.data())
+def test_peel_character_rejects_a_broken_orbit(dm, data):
+    # a genuine character with one non-dominant weight dropped or its
+    # multiplicity changed is no longer Weyl-invariant
+    char = character_of(dm)
+    off = sorted((w for w in char if not w.is_dominant), key=lambda w: w.coords)
+    assume(off)
+    w = data.draw(st.sampled_from(off))
+    m = data.draw(st.integers(0, char[w] + 3).filter(lambda m: m != char[w]))
+    if m:
+        char[w] = m
+    else:
+        del char[w]
+    with pytest.raises(ValueError):
+        peel_character(char)
 
 
 def test_fusion_graded_sl2_frozen():
@@ -419,6 +439,41 @@ def test_fusion_graded_matches_reference_t_action(pair, c1, c2):
     assert {s: character_of(dm) for s, dm in graded.slices()} == (
         reference_degree_characters(m1, Fraction(c1), m2, Fraction(c2))
     )
+
+
+def sorted_entries(g):
+    return sorted((s, tau.coords, m) for (s, tau), m in g.entries.items())
+
+
+def test_fusion_sweep_entries_pinned():
+    # the graded entries of the 76 pairs of criteria 6-7, pinned by one digest
+    digest = hashlib.sha256()
+    for lam1, lam2 in _fusion_pairs():
+        g = fusion_graded(build_irrep(lam1), 0, build_irrep(lam2), 1)
+        digest.update(repr((lam1.coords, lam2.coords, sorted_entries(g))).encode())
+    assert digest.hexdigest() == (
+        "463e794dff853f1087c0028e1f58ef1990e1d3b1d2553c3e1eec84e1417c194b"
+    )
+
+
+def test_fusion_sl4_frozen():
+    g = fusion_graded(
+        build_irrep(Weight(4, (1, 1, 1))), 0, build_irrep(Weight(4, (1, 0, 1))), 1
+    )
+    assert g.dimension() == 960
+    assert sorted_entries(g) == [
+        (0, (2, 1, 2), 1),
+        (1, (0, 2, 2), 1),
+        (1, (1, 0, 3), 1),
+        (1, (1, 1, 1), 1),
+        (1, (2, 2, 0), 1),
+        (1, (3, 0, 1), 1),
+        (2, (0, 0, 2), 1),
+        (2, (0, 1, 0), 1),
+        (2, (0, 3, 0), 1),
+        (2, (1, 1, 1), 2),
+        (2, (2, 0, 0), 1),
+    ]
 
 
 def test_fusion_adjoint_squared_graded_frozen():

@@ -89,8 +89,19 @@ def test_non_integer_entries_are_rejected_not_truncated(build, value):
         lambda n: BoundVector(n, (1, 1, 1)),
         lambda n: LatticePoint(n, (1, 0, 0)),
         lambda n: GradedDecomposition(n, V11, V11, {(0, V11): 1}),
+        Weight.zero,
+        Weight.rho,
+        lambda n: LatticePoint.from_sparse(n, [(1, 1, 1)]),
     ],
-    ids=["DecompositionMap", "BoundVector", "LatticePoint", "GradedDecomposition"],
+    ids=[
+        "DecompositionMap",
+        "BoundVector",
+        "LatticePoint",
+        "GradedDecomposition",
+        "Weight.zero",
+        "Weight.rho",
+        "LatticePoint.from_sparse",
+    ],
 )
 @pytest.mark.parametrize("rank", [3.0, 3.9, 2.5, Fraction(3), "3"])
 def test_non_integer_ranks_are_rejected(build, rank):
