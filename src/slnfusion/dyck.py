@@ -11,11 +11,13 @@ so its inequality is implied); `point_satisfies` checks the full system of
 `dyck_paths`.
 
 The enumerator works on plain exponent tuples: a depth-first search in root
-order emits them in lexicographic order, one stable sort by degree gives the
-(degree, exponents) order, and only then is each tuple turned into a
-`LatticePoint` through its validating constructor.  Weights of points are
-summed in integers from the cached fundamental-weight coordinates of the
-positive roots, and a `Weight` is built once per result.
+order emits them in lexicographic order, the last two coordinates in one
+block per search leaf, and one stable sort by degree gives the (degree,
+exponents) order.  Only then is each tuple wrapped as a `LatticePoint`,
+without running the constructor's checks again: every tuple is valid by
+construction (see `lattice_points`).  Weights of points are summed in
+integers from the cached fundamental-weight coordinates of the positive
+roots, and a `Weight` is built once per result.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def bounds_from_weight(weight: Weight) -> BoundVector:
     return BoundVector(weight.n, tuple(pairing(weight, r) for r in positive_roots(weight.n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticePoint:
     """Exponent vector s = (s_alpha), one nonnegative entry per positive root."""
 
@@ -234,49 +236,105 @@ def _compiled_system(paths: tuple[DyckPath, ...]) -> tuple[tuple[tuple[int, ...]
     )
 
 
+@lru_cache(maxsize=None)
+def _search_index(
+    n: int,
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """The index `lattice_points` searches sl_n with, built once per rank:
+    the base position of each inequality of `inequalities(n)`; for each
+    coordinate, the inequalities that touch it; and the inequalities of the
+    last coordinate split into those that also touch the one before it and
+    those that touch only the last (both empty for sl_2, which has one
+    coordinate; for n >= 3 neither is, by the paths alpha_{n-2} ->
+    alpha_{n-2,n-1} -> alpha_{n-1} and alpha_{n-1} alone)."""
+    system = _compiled_system(inequalities(n))
+    num = n * (n - 1) // 2
+    touching = tuple(
+        tuple(s for s, (idxs, _) in enumerate(system) if k in idxs) for k in range(num)
+    )
+    both = only = ()
+    if num > 1:
+        both = tuple(s for s in touching[-1] if s in touching[-2])
+        only = tuple(s for s in touching[-1] if s not in touching[-2])
+    return tuple(base for _, base in system), touching, both, only
+
+
 def lattice_points(bounds: BoundVector) -> list[LatticePoint]:
     """All integer points of the polytope cut out by `bounds`, sorted by
     (degree, exponents).
 
     A depth-first search in root order keeps the remaining slack of each
     inequality and bounds each coordinate by the least slack among the
-    inequalities that touch it; at the last coordinate it emits the whole
-    range at once.  The exponent tuples come out in lexicographic order, so
-    one stable sort by degree gives the (degree, exponents) order.  Every
-    tuple then becomes a `LatticePoint` through the validating constructor,
-    in place, so no second list of the same length is built."""
+    inequalities that touch it.  At the second-to-last coordinate it emits
+    the last two coordinates as one block: for value v there, the last
+    coordinate runs over 0..min(A - v, B), where A is the least slack among
+    the inequalities touching both coordinates and B the least among those
+    touching only the last.  sl_2 has one coordinate and one inequality
+    x <= a, so its points are 0..a.  The exponent tuples come out in
+    lexicographic order, so one stable sort by degree gives the (degree,
+    exponents) order.
+
+    The tuples are wrapped as `LatticePoint`s by `_wrap_points`, which skips
+    `LatticePoint.__post_init__`: each one already is what that check would
+    store.  The rank is `bounds.n`, which `BoundVector` has checked.  Each
+    tuple is built by concatenating tuples, one entry per coordinate, so its
+    length is n(n-1)/2.  Every entry is an int drawn from a `range(ub + 1)`
+    with ub >= 0: the bounds are nonnegative, the search only takes a value
+    up to the least slack of the inequalities it touches, so every slack is
+    nonnegative whenever it goes one coordinate deeper; and A >= v, since A
+    is among the slacks that bound v."""
     n = bounds.n
-    num = len(bounds.values)
-    last = num - 1
-    system = _compiled_system(inequalities(n))
-    slack = [bounds.values[base] for _, base in system]
-    touching: list[list[int]] = [[] for _ in range(num)]
-    for s, (idxs, _) in enumerate(system):
-        for k in idxs:
-            touching[k].append(s)
-    acc = [0] * num
-    out: list = []
+    bases, touching, both, only = _search_index(n)
+    slack = [bounds.values[base] for base in bases]
+    if len(touching) == 1:
+        out = [(v,) for v in range(slack[0] + 1)]
+    else:
+        leaf = len(touching) - 2
+        acc = [0] * leaf
+        out = []
 
-    def rec(k: int) -> None:
-        ids = touching[k]
-        ub = min(map(slack.__getitem__, ids))
-        if k == last:
-            head = tuple(acc[:last])
-            out.extend([head + (v,) for v in range(ub + 1)])
-            return
-        for v in range(ub + 1):
-            acc[k] = v
-            rec(k + 1)
+        def rec(k: int) -> None:
+            ids = touching[k]
+            ub = min(map(slack.__getitem__, ids))
+            if k == leaf:
+                head = tuple(acc)
+                a = min(map(slack.__getitem__, both))
+                b = min(map(slack.__getitem__, only))
+                for v in range(ub + 1):
+                    hv = head + (v,)
+                    out.extend([hv + (w,) for w in range(min(a - v, b) + 1)])
+                return
+            for v in range(ub + 1):
+                acc[k] = v
+                rec(k + 1)
+                for s in ids:
+                    slack[s] -= 1
             for s in ids:
-                slack[s] -= 1
-        for s in ids:
-            slack[s] += ub + 1
+                slack[s] += ub + 1
 
-    rec(0)
+        rec(0)
+        # rec holds itself through its closure; dropping it here breaks that
+        # cycle, so the points are freed as soon as the caller lets go of them
+        del rec
     out.sort(key=sum)
-    for i, exps in enumerate(out):
-        out[i] = LatticePoint(n, exps)
+    _wrap_points(n, out)
     return out
+
+
+_new_object = object.__new__
+_set_n = LatticePoint.n.__set__
+_set_exps = LatticePoint.exps.__set__
+
+
+def _wrap_points(n: int, out: list) -> None:
+    """Replace each exponent tuple of `out` by the `LatticePoint` (n, exps),
+    in place, writing its two slots directly.  Only for tuples that are
+    valid by construction, as `lattice_points` proves of its own."""
+    for i, exps in enumerate(out):
+        point = _new_object(LatticePoint)
+        _set_n(point, n)
+        _set_exps(point, exps)
+        out[i] = point
 
 
 def point_satisfies(point: LatticePoint, bounds: BoundVector) -> bool:

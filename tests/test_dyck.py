@@ -1,9 +1,11 @@
 """Dyck paths, the inequality system, and lattice-point enumeration."""
 
+import gc
+import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slnfusion.dyck import (
     BoundVector,
@@ -31,9 +33,12 @@ def weight_sum(point):
 
 @st.composite
 def bound_vectors(draw):
-    n = draw(st.integers(2, 4))
+    # sl_5 keeps its entries at most 1 so that its box (2^10 points) stays
+    # small enough for the brute-force reference
+    n = draw(st.integers(2, 5))
     size = n * (n - 1) // 2
-    values = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    top = 1 if n == 5 else 3
+    values = draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
     return BoundVector(n, values)
 
 
@@ -136,6 +141,8 @@ def test_pruning_preserves_solution_sets():
 
 @settings(max_examples=60, deadline=None)
 @given(bound_vectors())
+@example(BoundVector(2, (0,)))
+@example(BoundVector(2, (4,)))
 def test_lattice_points_match_brute_force(bounds):
     # every point of the box [0, a_alpha] that meets the full system, in
     # (degree, exponents) order
@@ -149,6 +156,56 @@ def test_lattice_points_match_brute_force(bounds):
         key=lambda exps: (sum(exps), exps),
     )
     assert [p.exps for p in lattice_points(bounds)] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound_vectors())
+def test_lattice_points_equal_their_validated_construction(bounds):
+    # lattice_points wraps its tuples without the constructor's checks; each
+    # point must be exactly what the validating constructor would build
+    for p in lattice_points(bounds):
+        checked = LatticePoint(p.n, p.exps)
+        assert p == checked
+        assert hash(p) == hash(checked)
+        assert type(p.exps) is tuple
+        assert all(type(e) is int for e in p.exps)
+
+
+def test_lattice_points_leave_no_garbage_cycle():
+    # the point list must be freed by reference counting once the caller
+    # drops it, not kept alive by a cycle until the collector next runs
+    bounds = BoundVector(4, (2, 2, 2, 2, 2, 2))
+    lattice_points(bounds)
+    gc.collect()
+    gc.disable()
+    try:
+        lattice_points(bounds)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def lattice_points_digest(n, top):
+    """sha256 of the exponent lists of every V(lam) of sl_n with coordinates
+    at most `top`, in grid order."""
+    h = hashlib.sha256()
+    for coords in itertools.product(range(top + 1), repeat=n - 1):
+        points = lattice_points(bounds_from_weight(Weight(n, coords)))
+        h.update(repr([p.exps for p in points]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, top, expected",
+    [
+        (5, 2, "dd0869ef1fdd2e1116d607ec48bea1ad0a72f68d9414db91448a758f96ced16f"),
+        (4, 3, "ac50fcd7671f1fb949e1aaba1c2287df764ae1c3c836768586f84f9dc8d3d125"),
+    ],
+)
+def test_lattice_points_pinned_digest(n, top, expected):
+    # beyond brute-force reach (sl_5 V(2,2,2,2) alone has 59,049 points): the
+    # digest catches a change of order or a duplicated point
+    assert lattice_points_digest(n, top) == expected
 
 
 @settings(max_examples=40, deadline=None)
