@@ -71,23 +71,16 @@ def rect_hw_points(
     p = min(i - 1, n - 1 - j)
     cap = min(m_i, m_j)
     out: list[tuple[LatticePoint, Weight]] = []
-
-    def rec(q: int, prev: int, acc: list[int]) -> None:
-        if q > p:
-            pt = LatticePoint.from_sparse(
-                n, [(i - step, j + step, a) for step, a in enumerate(acc)]
-            )
-            tau = lam - pt.wt
-            if not tau.is_dominant:
-                raise AssertionError(f"rectangular point {acc} left the dominant chamber")
-            out.append((pt, tau))
-            return
-        for a in range(prev, -1, -1):
-            acc.append(a)
-            rec(q + 1, a, acc)
-            acc.pop()
-
-    rec(0, cap, [])
+    # drawing p + 1 values from cap, cap - 1, ..., 0 in that order gives
+    # exactly the non-increasing tuples (a_0, ..., a_p)
+    for acc in itertools.combinations_with_replacement(range(cap, -1, -1), p + 1):
+        pt = LatticePoint.from_sparse(
+            n, [(i - step, j + step, a) for step, a in enumerate(acc)]
+        )
+        tau = lam - pt.wt
+        if not tau.is_dominant:
+            raise AssertionError(f"rectangular point {list(acc)} left the dominant chamber")
+        out.append((pt, tau))
     out.sort(key=lambda pw: (pw[0].deg, pw[0].exps))
     return out
 
@@ -136,20 +129,12 @@ def pieri_row(lam: Weight, k: int) -> DecompositionMap:
     parts = lam.to_parts()
     caps = [k] + [lam.coords[j - 2] for j in range(2, n + 1)]
     taus: dict[Weight, int] = {}
-
-    def rec(pos: int, remaining: int, acc: list[int]) -> None:
-        if pos == n:
-            if remaining == 0:
-                taus[
-                    Weight.from_parts(n, tuple(p + b for p, b in zip(parts, acc)))
-                ] = 1
-            return
-        for b in range(min(caps[pos], remaining) + 1):
-            acc.append(b)
-            rec(pos + 1, remaining - b, acc)
-            acc.pop()
-
-    rec(0, k, [])
+    # b_1, ..., b_{n-1} run below their caps; b_n takes what is left of k
+    for head in itertools.product(*(range(min(c, k) + 1) for c in caps[:-1])):
+        last = k - sum(head)
+        if 0 <= last <= caps[-1]:
+            b = head + (last,)
+            taus[Weight.from_parts(n, tuple(p + x for p, x in zip(parts, b)))] = 1
     return DecompositionMap(n, taus)
 
 

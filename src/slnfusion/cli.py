@@ -121,8 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pair = ("--l", "--m")
     add("lr", "tensor product decomposition of V(l) (x) V(m)", pair)
 
-    p = add("dyck", "Dyck paths and the inequality system (simple root to simple root)", ())
-    p.add_argument("--no-prune", action="store_true", help="show one inequality per path")
+    add("dyck", "Dyck paths and the inequality system (simple root to simple root)", ())
 
     p = add("points", "lattice points for a weight pair or explicit bounds", pair, required=False)
     p.add_argument(
@@ -191,7 +190,7 @@ def _run(parser: argparse.ArgumentParser, args) -> tuple[object, list[str], int]
 
     if args.command == "dyck":
         paths = dyck_paths(args.n)
-        system = paths if args.no_prune else inequalities(args.n)
+        system = inequalities(args.n)
         payload = {
             "n": args.n,
             "paths": [[[r.i, r.j] for r in p.steps] for p in paths],

@@ -3,11 +3,12 @@
 Elements are unordered pairs (mu1, mu2) of dominant weights with
 mu1 + mu2 = lam, compared entrywise through their min-vectors: the tuple
 min(mu1(h_a), mu2(h_a)) over all positive roots a.  The pair (lam, 0) is the
-minimum; an explicit halving formula produces the maximum.  Along the order,
-differences of Littlewood-Richardson products give Schur-positivity evidence,
-and the Littlewood-Richardson expansion at the maximal pair doubles as a
-character prediction for the local Weyl module of the current algebra
-truncated at t^2.
+minimum; an explicit halving formula produces the maximum.  On each cover,
+`schur_positive` tests whether the Littlewood-Richardson product of the
+lower pair is contained in that of the higher one (Schur-positivity
+evidence), and the Littlewood-Richardson expansion at the maximal pair
+doubles as a character prediction for the local Weyl module of the current
+algebra truncated at t^2.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 
 from .cases import proven_regime
 from .dyck import BoundVector, bounds_from_pair
-from .tensor import DecompositionMap, lr_coefficients, schur_product_diff
+from .tensor import DecompositionMap, lr_coefficients, schur_positive
 from .typea import Weight, weyl_dim
 
 __all__ = [
@@ -195,7 +196,7 @@ class PosetReport:
 
 def poset_report(lam: Weight) -> PosetReport:
     """Full poset snapshot: cover edges only (transitive reduction), each
-    cover labeled with the sign of its Schur product difference.
+    cover labeled with its `schur_positive` verdict.
 
     `order_leq` runs once per ordered pair of nodes; the strict order, the
     covers and the extremal-element assertions all read that one matrix."""
@@ -210,10 +211,10 @@ def poset_report(lam: Weight) -> PosetReport:
                 continue
             if any(below[a][c] and below[c][b] for c in range(k)):
                 continue
-            diff = schur_product_diff(
-                (nodes[b].first, nodes[b].second), (nodes[a].first, nodes[a].second)
+            high, low = nodes[b], nodes[a]
+            edges.append(
+                (a, b, schur_positive((high.first, high.second), (low.first, low.second)))
             )
-            edges.append((a, b, diff.nonnegative))
     min_pair = WeightPair(lam, Weight.zero(lam.n))
     max_pair = maximal_pair(lam)
     low, top = nodes.index(min_pair), nodes.index(max_pair)

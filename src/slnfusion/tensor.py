@@ -6,7 +6,8 @@ walk the full weight diagram of one factor, shift by lambda + rho, discard
 singular points (repeated epsilon-parts), and fold regular points back into
 the dominant chamber with the sign of the sorting permutation.  Everything
 stays in integer arithmetic and the final multiplicities are asserted
-nonnegative before they are returned.
+nonnegative before they are returned.  `schur_positive` compares two such
+decompositions of one total weight by multiset containment.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from .typea import Weight, _check_rank, _diagram_parts, exact_ints, weyl_dim
 
 __all__ = [
     "DecompositionMap",
-    "SignedDecompositionMap",
     "lr_coefficients",
-    "schur_product_diff",
+    "schur_positive",
 ]
 
 
@@ -30,10 +30,9 @@ def _sorted_items(entries: Mapping[Weight, int]) -> list[tuple[Weight, int]]:
     return sorted(entries.items(), key=lambda kv: kv[0].to_parts(), reverse=True)
 
 
-class _WeightMap:
-    """Shared plumbing for (signed) weight-multiplicity reports."""
-
-    _allow_negative = True
+class DecompositionMap:
+    """Decomposition of a genuine module: dominant weights with positive
+    integer multiplicities (zero entries dropped)."""
 
     def __init__(self, n: int, entries: Mapping[Weight, int]):
         _check_rank(n)
@@ -46,7 +45,7 @@ class _WeightMap:
                 raise ValueError(f"entry {w} is not dominant")
             if m == 0:
                 continue
-            if m < 0 and not self._allow_negative:
+            if m < 0:
                 raise ValueError(f"negative multiplicity {m} at {w}")
             checked[w] = m
         self._entries = {w: m for w, m in _sorted_items(checked)}
@@ -72,8 +71,7 @@ class _WeightMap:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, _WeightMap)
-            and self._allow_negative == other._allow_negative
+            isinstance(other, DecompositionMap)
             and self.n == other.n
             and self._entries == other._entries
         )
@@ -88,29 +86,8 @@ class _WeightMap:
             "terms": [{"tau": w.to_json(), "mult": m} for w, m in self._entries.items()],
         }
 
-
-class DecompositionMap(_WeightMap):
-    """Decomposition of a genuine module: dominant weights with positive
-    integer multiplicities."""
-
-    _allow_negative = False
-
     def dimension(self) -> int:
         return sum(m * weyl_dim(w) for w, m in self._entries.items())
-
-    def subtract(self, other: "DecompositionMap") -> "SignedDecompositionMap":
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: sl_{self.n} vs sl_{other.n}")
-        keys = set(self._entries) | set(other._entries)
-        return SignedDecompositionMap(self.n, {w: self[w] - other[w] for w in keys})
-
-
-class SignedDecompositionMap(_WeightMap):
-    """Formal integer combination of dominant weights (zero entries dropped)."""
-
-    @property
-    def nonnegative(self) -> bool:
-        return all(m > 0 for m in self._entries.values())
 
 
 def _sort_sign(parts: Iterable[int]) -> tuple[int, tuple[int, ...]]:
@@ -167,15 +144,23 @@ def lr_coefficients(lambda1: Weight, lambda2: Weight) -> DecompositionMap:
     return _lr_cached(lambda1, lambda2)
 
 
-def schur_product_diff(
+def schur_positive(
     pair_high: tuple[Weight, Weight], pair_low: tuple[Weight, Weight]
-) -> SignedDecompositionMap:
-    """Entrywise difference lr(pair_high) - lr(pair_low) for two pairs with
-    the same total weight; its `.nonnegative` flag reports positivity."""
+) -> bool:
+    """Whether lr(pair_low) is contained in lr(pair_high) as a multiset:
+    every constituent of V(l1) (x) V(l2) occurs in V(h1) (x) V(h2) at least
+    as often.  The two pairs must have the same total weight.
+
+    This is exactly "lr(pair_high) - lr(pair_low) has no negative entry":
+    at a key found only in lr(pair_high) the difference is that map's
+    multiplicity, which is positive, so a negative difference can only sit
+    at a key w of lr(pair_low), where it is lr(pair_high)[w] -
+    lr(pair_low)[w]."""
     h1, h2 = pair_high
     l1, l2 = pair_low
     if h1 + h2 != l1 + l2:
         raise ValueError(
             f"pairs must share the same total weight, got {h1 + h2} vs {l1 + l2}"
         )
-    return lr_coefficients(h1, h2).subtract(lr_coefficients(l1, l2))
+    high = lr_coefficients(h1, h2)
+    return all(high[w] >= m for w, m in lr_coefficients(l1, l2)._entries.items())

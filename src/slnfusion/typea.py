@@ -337,6 +337,7 @@ def _dominant_parts_below(p: tuple[int, ...]) -> list[tuple[int, ...]]:
             rec(pos + 1, used + q, q, acc + (q,))
 
     rec(0, 0, total, ())
+    del rec  # rec holds itself through its closure; this breaks the cycle
     return found
 
 

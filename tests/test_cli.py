@@ -118,24 +118,12 @@ def test_dyck_json(capsys):
     assert len(payload["inequalities"]) == 3
 
 
-def test_dyck_no_prune_lists_every_path(capsys):
-    code, out = run(capsys, "dyck", "--n", "4", "--no-prune", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["paths"]) == 24
-    assert [ineq["support"] for ineq in payload["inequalities"]] == payload["paths"]
-    code, out = run(capsys, "dyck", "--n", "4", "--no-prune")
-    assert code == 0
-    assert "24 inequalities:" in out
-    assert "  x[1,2] <= a[1,2]" in out
-
-
 def test_closed_stdout_exits_1_without_traceback():
-    # about 0.5 MB of output, far more than a pipe buffers, so the command is
+    # about 0.3 MB of output, far more than a pipe buffers, so the command is
     # still writing when the reader closes the pipe after one line
     env = dict(os.environ, PYTHONPATH=str(Path(slnfusion.__file__).parents[1]))
     with subprocess.Popen(
-        [sys.executable, "-m", "slnfusion", "dyck", "--n", "8", "--no-prune"],
+        [sys.executable, "-m", "slnfusion", "dyck", "--n", "8"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,

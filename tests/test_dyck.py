@@ -19,8 +19,16 @@ from slnfusion.dyck import (
     lattice_points,
     point_satisfies,
 )
+from slnfusion.cases import pieri_row, rect_hw_points
 from slnfusion.tensor import lr_coefficients
-from slnfusion.typea import Root, Weight, positive_roots, root_as_weight, weyl_dim
+from slnfusion.typea import (
+    Root,
+    Weight,
+    _dominant_parts_below,
+    positive_roots,
+    root_as_weight,
+    weyl_dim,
+)
 
 
 def weight_sum(point):
@@ -171,18 +179,35 @@ def test_lattice_points_equal_their_validated_construction(bounds):
         assert all(type(e) is int for e in p.exps)
 
 
-def test_lattice_points_leave_no_garbage_cycle():
-    # the point list must be freed by reference counting once the caller
-    # drops it, not kept alive by a cycle until the collector next runs
-    bounds = BoundVector(4, (2, 2, 2, 2, 2, 2))
-    lattice_points(bounds)
+def assert_no_garbage_cycle(call):
+    # the result must be freed by reference counting once the caller drops
+    # it, not kept alive by a cycle until the collector next runs; the first
+    # call fills any cache, so only the second is measured
+    call()
     gc.collect()
     gc.disable()
     try:
-        lattice_points(bounds)
+        call()
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_lattice_points_leave_no_garbage_cycle():
+    assert_no_garbage_cycle(lambda: lattice_points(BoundVector(4, (2, 2, 2, 2, 2, 2))))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rect_hw_points(4, 1, 2, 3, 2),
+        lambda: pieri_row(Weight(4, (1, 2, 1)), 3),
+        lambda: _dominant_parts_below((3, 2, 1, 0)),
+    ],
+    ids=["rect_hw_points", "pieri_row", "_dominant_parts_below"],
+)
+def test_enumerators_leave_no_garbage_cycle(call):
+    assert_no_garbage_cycle(call)
 
 
 def lattice_points_digest(n, top):

@@ -14,7 +14,7 @@ from slnfusion.poset import (
     poset_report,
     weyl_character_prediction,
 )
-from slnfusion.tensor import lr_coefficients, schur_product_diff
+from slnfusion.tensor import lr_coefficients, schur_positive
 from slnfusion.typea import Weight, pairing, positive_roots, weyl_dim
 
 
@@ -187,6 +187,13 @@ def test_poset_report_frozen():
     )
 
 
+def lr_difference_nonnegative(pair_high, pair_low):
+    """Schur positivity from its definition: lr(high) - lr(low) has no
+    negative entry over the union of the two maps' keys."""
+    high, low = lr_coefficients(*pair_high), lr_coefficients(*pair_low)
+    return all(high[w] - low[w] >= 0 for w in set(high) | set(low))
+
+
 @st.composite
 def small_dominant_weights(draw):
     n = draw(st.integers(2, 4))
@@ -215,11 +222,34 @@ def test_poset_report_edges_are_covers(lam):
     }
     assert [(a, b) for a, b, _ in report.edges] == sorted(covers)
     for a, b, positive in report.edges:
-        low, high = nodes[a], nodes[b]
-        diff = schur_product_diff((high.first, high.second), (low.first, low.second))
-        assert positive == diff.nonnegative
+        high, low = nodes[b], nodes[a]
+        assert positive == lr_difference_nonnegative(
+            (high.first, high.second), (low.first, low.second)
+        )
     assert report.min_pair == nodes[0] == WeightPair(lam, Weight.zero(lam.n))
     assert report.max_pair == maximal_pair(lam)
+
+
+@st.composite
+def same_total_pairs(draw):
+    lam = draw(small_dominant_weights())
+    pairs = enumerate_pairs(lam)
+    return draw(st.sampled_from(pairs)), draw(st.sampled_from(pairs))
+
+
+def test_schur_positive_matches_reference():
+    verdicts = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(same_total_pairs())
+    def check(pairs):
+        high, low = ((p.first, p.second) for p in pairs)
+        got = schur_positive(high, low)
+        assert got == lr_difference_nonnegative(high, low)
+        verdicts.add(got)
+
+    check()
+    assert verdicts == {True, False}
 
 
 def test_poset_report_json():

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slnfusion.cases import is_much_greater, large_case_mults
-from slnfusion.tensor import (
-    DecompositionMap,
-    SignedDecompositionMap,
-    _klimyk,
-    lr_coefficients,
-    schur_product_diff,
-)
+from slnfusion.tensor import DecompositionMap, _klimyk, lr_coefficients, schur_positive
 from slnfusion.typea import Weight, weight_multiplicities, weyl_dim
 
 
@@ -134,31 +128,20 @@ def test_lr_matches_character_convolution():
             assert conv == recomposed
 
 
-def test_schur_product_diff_frozen():
+def test_schur_positive_frozen():
+    # lr((3),(1)) = V(4) + V(2) contains lr((4),(0)) = V(4), not conversely
     high = (Weight(2, (3,)), Weight(2, (1,)))
     low = (Weight(2, (4,)), Weight(2, (0,)))
-    diff = schur_product_diff(high, low)
-    assert isinstance(diff, SignedDecompositionMap)
-    assert diff.entries == {Weight(2, (2,)): 1}
-    assert diff.nonnegative
-    reverse = schur_product_diff(low, high)
-    assert reverse.entries == {Weight(2, (2,)): -1}
-    assert not reverse.nonnegative
+    assert schur_positive(high, low) is True
+    assert schur_positive(low, high) is False
 
 
-def test_schur_product_diff_requires_same_total():
+def test_schur_positive_requires_same_total():
     with pytest.raises(ValueError):
-        schur_product_diff(
+        schur_positive(
             (Weight(2, (3,)), Weight(2, (1,))),
             (Weight(2, (3,)), Weight(2, (0,))),
         )
-
-
-def test_signed_map_subtract_round_trip():
-    a = lr_coefficients(Weight(3, (1, 1)), Weight(3, (1, 1)))
-    zero = a.subtract(a)
-    assert zero.entries == {}
-    assert zero.nonnegative
 
 
 def weights(n, coord_max):
