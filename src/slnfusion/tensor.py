@@ -4,18 +4,30 @@ The workhorse is `lr_coefficients`, computing the multiset of irreducible
 constituents of V(lambda1) (x) V(lambda2) by the classical reflection rule:
 walk the full weight diagram of one factor, shift by lambda + rho, discard
 singular points (repeated epsilon-parts), and fold regular points back into
-the dominant chamber with the sign of the sorting permutation.  Everything
-stays in integer arithmetic and the final multiplicities are asserted
-nonnegative before they are returned.  `schur_positive` compares two such
-decompositions of one total weight by multiset containment.
+the dominant chamber with the sign of the sorting permutation.  The diagram
+is read from `typea`'s cached Weyl orbits (one per dominant weight), and one
+pass over each shifted point finds both whether it is singular and its
+sign.  Everything stays in plain integer tuples, and the final
+multiplicities are checked nonnegative before they are returned.
+`schur_positive` compares two such decompositions of one total weight by
+multiset containment.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping
+from operator import add
+from typing import Mapping
 
-from .typea import Weight, _check_rank, _diagram_parts, exact_ints, weyl_dim
+from .typea import (
+    Weight,
+    _check_rank,
+    _dominant_mults_by_parts,
+    _orbit_parts,
+    _weight,
+    exact_ints,
+    weyl_dim,
+)
 
 __all__ = [
     "DecompositionMap",
@@ -49,6 +61,15 @@ class DecompositionMap:
                 raise ValueError(f"negative multiplicity {m} at {w}")
             checked[w] = m
         self._entries = {w: m for w, m in _sorted_items(checked)}
+
+    @classmethod
+    def _trusted(cls, n: int, entries: Mapping[Weight, int]) -> "DecompositionMap":
+        """A map from entries that pass the checks of `__init__` by
+        construction, kept in the same report order."""
+        self = object.__new__(cls)
+        self.n = n
+        self._entries = {w: m for w, m in _sorted_items(entries)}
+        return self
 
     @property
     def entries(self) -> dict[Weight, int]:
@@ -90,39 +111,41 @@ class DecompositionMap:
         return sum(m * weyl_dim(w) for w, m in self._entries.items())
 
 
-def _sort_sign(parts: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    # Sign of the permutation sorting distinct values into decreasing order.
-    seq = list(parts)
-    inversions = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] < seq[b]:
-                inversions += 1
-    return (-1) ** inversions, tuple(sorted(seq, reverse=True))
-
-
 def _klimyk(lambda1: Weight, lambda2: Weight) -> dict[Weight, int]:
     """Reflection-rule decomposition walking the diagram of the second factor."""
     n = lambda1.n
-    rho = Weight.rho(n)
-    shift = (lambda1 + rho).to_parts()
+    shift = [p + n - 1 - k for k, p in enumerate(lambda1.to_parts())]  # lambda1 + rho
     # Keyed by the sorted shifted parts; all share one total, so the key
     # determines the constituent.
     acc: dict[tuple[int, ...], int] = {}
-    for nu, mult in _diagram_parts(n, lambda2.to_parts()):
-        parts = tuple(s + t for s, t in zip(shift, nu))
-        if len(set(parts)) < n:
-            continue  # singular: lies on a chamber wall, contributes nothing
-        sign, sorted_parts = _sort_sign(parts)
-        acc[sorted_parts] = acc.get(sorted_parts, 0) + sign * mult
+    for q, mult in _dominant_mults_by_parts(n, lambda2.to_parts()).items():
+        for nu in _orbit_parts(q):
+            parts = list(map(add, shift, nu))
+            # One pass finds both: a tie means the point is singular (it lies
+            # on a chamber wall and contributes nothing), else each inversion
+            # flips the sign of the sorting permutation.
+            sign = mult
+            for a in range(n - 1):
+                x = parts[a]
+                for y in parts[a + 1 :]:
+                    if x < y:
+                        sign = -sign
+                    elif x == y:
+                        sign = 0
+                        break
+                if not sign:
+                    break
+            else:
+                key = tuple(sorted(parts, reverse=True))
+                acc[key] = acc.get(key, 0) + sign
     out: dict[Weight, int] = {}
-    for sorted_parts, mult in acc.items():
+    for key, mult in acc.items():
         if mult == 0:
             continue
-        tau = Weight.from_parts(n, sorted_parts) - rho
-        if mult < 0 or not tau.is_dominant:
-            raise AssertionError("reflection rule produced an invalid constituent")
-        out[tau] = mult
+        if mult < 0:
+            raise AssertionError("reflection rule produced a negative multiplicity")
+        # key is strictly decreasing, so each coordinate is a nonnegative int
+        out[_weight(n, tuple(key[i] - key[i + 1] - 1 for i in range(n - 1)))] = mult
     return out
 
 
@@ -131,7 +154,7 @@ def _lr_cached(lambda1: Weight, lambda2: Weight) -> DecompositionMap:
     # Walk the diagram of the factor with the smaller module dimension.
     if weyl_dim(lambda2) > weyl_dim(lambda1):
         lambda1, lambda2 = lambda2, lambda1
-    return DecompositionMap(lambda1.n, _klimyk(lambda1, lambda2))
+    return DecompositionMap._trusted(lambda1.n, _klimyk(lambda1, lambda2))
 
 
 def lr_coefficients(lambda1: Weight, lambda2: Weight) -> DecompositionMap:

@@ -13,7 +13,6 @@ no floating point anywhere.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,12 +27,10 @@ __all__ = [
     "root_as_weight",
     "simple_root_weight",
     "weyl_orbit",
-    "orbit_size",
     "weyl_dim",
     "weight_multiplicities",
     "dominant_weight_multiplicities",
     "root_coordinates",
-    "dominance_leq",
     "root_lattice_height",
 ]
 
@@ -93,10 +90,11 @@ class Weight:
     @classmethod
     def from_parts(cls, n: int, parts) -> "Weight":
         """Weight whose epsilon-coordinate representative is `parts` (length n)."""
+        _check_rank(n)
         parts = exact_ints(parts, "parts")
         if len(parts) != n:
             raise ValueError(f"parts vector for sl_{n} needs length {n}, got {len(parts)}")
-        return cls(n, tuple(parts[i] - parts[i + 1] for i in range(n - 1)))
+        return _weight(n, tuple(parts[i] - parts[i + 1] for i in range(n - 1)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -108,19 +106,19 @@ class Weight:
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check_same_rank(other)
-        return Weight(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _weight(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check_same_rank(other)
-        return Weight(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _weight(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Weight":
-        return Weight(self.n, tuple(-a for a in self.coords))
+        return _weight(self.n, tuple(-a for a in self.coords))
 
     def __mul__(self, k: int) -> "Weight":
         if not isinstance(k, int):
             return NotImplemented
-        return Weight(self.n, tuple(k * a for a in self.coords))
+        return _weight(self.n, tuple(k * a for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -148,6 +146,22 @@ class Weight:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
+
+
+_new_object = object.__new__
+_set_attr = object.__setattr__
+
+
+def _weight(n: int, coords: tuple[int, ...]) -> Weight:
+    """`Weight(n, coords)` without `__post_init__`, for n - 1 ints that it
+    would store unchanged.  `+`, `-`, unary `-` and `*` combine checked
+    weights of one rank (and an int factor); `from_parts` checks the rank
+    and its n int parts before taking their n - 1 differences; the fold in
+    `tensor._klimyk` takes differences of n sorted int parts."""
+    w = _new_object(Weight)
+    _set_attr(w, "n", n)
+    _set_attr(w, "coords", coords)
+    return w
 
 
 @dataclass(frozen=True)
@@ -230,10 +244,15 @@ def _require_dominant(weight: Weight, what: str) -> None:
 
 
 @lru_cache(maxsize=None)
+def _orbit_parts(q: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # The Weyl orbit of dominant parts q: each permutation of q once, in no
+    # particular order.  Cached without bound, one entry per dominant q.
+    return tuple(set(itertools.permutations(q)))
+
+
+@lru_cache(maxsize=None)
 def _orbit_cached(weight: Weight) -> tuple[Weight, ...]:
-    parts = weight.to_parts()
-    seen = set(itertools.permutations(parts))
-    orbit = [Weight.from_parts(weight.n, q) for q in seen]
+    orbit = [Weight.from_parts(weight.n, q) for q in _orbit_parts(weight.to_parts())]
     orbit.sort(key=lambda w: w.to_parts(), reverse=True)
     return tuple(orbit)
 
@@ -243,16 +262,6 @@ def weyl_orbit(weight: Weight) -> tuple[Weight, ...]:
     descending by parts (the dominant element comes first)."""
     _require_dominant(weight, "weyl_orbit")
     return _orbit_cached(weight)
-
-
-def orbit_size(weight: Weight) -> int:
-    """|W.weight| = n! / prod (multiplicity of each repeated part)!."""
-    _require_dominant(weight, "orbit_size")
-    parts = weight.to_parts()
-    size = math.factorial(weight.n)
-    for value in set(parts):
-        size //= math.factorial(parts.count(value))
-    return size
 
 
 def weyl_dim(weight: Weight) -> int:
@@ -288,15 +297,6 @@ def root_coordinates(weight: Weight) -> tuple[Fraction, ...]:
         pref += parts[k - 1]
         coords.append(Fraction(n * pref - k * total, n))
     return tuple(coords)
-
-
-def dominance_leq(lower: Weight, upper: Weight) -> bool:
-    """True iff upper - lower is a nonnegative integer sum of simple roots."""
-    lower._check_same_rank(upper)
-    for c in root_coordinates(upper - lower):
-        if c.denominator != 1 or c < 0:
-            return False
-    return True
 
 
 def root_lattice_height(weight: Weight) -> int:
@@ -403,19 +403,11 @@ def dominant_weight_multiplicities(weight: Weight) -> dict[Weight, int]:
     return {Weight.from_parts(weight.n, q): m for q, m in raw.items()}
 
 
-def _diagram_parts(n: int, lam_parts: tuple[int, ...]):
-    # Every weight of V(lam) in parts form with its multiplicity: each
-    # dominant weight's Weyl orbit is the set of permutations of its parts.
-    for q, m in _dominant_mults_by_parts(n, lam_parts).items():
-        for perm in set(itertools.permutations(q)):
-            yield perm, m
-
-
 def weight_multiplicities(weight: Weight) -> dict[Weight, int]:
     """The full weight diagram of V(weight): every weight with its exact
     multiplicity, extended over each Weyl orbit."""
     _require_dominant(weight, "weight_multiplicities")
+    raw = _dominant_mults_by_parts(weight.n, weight.to_parts())
     return {
-        Weight.from_parts(weight.n, perm): m
-        for perm, m in _diagram_parts(weight.n, weight.to_parts())
+        Weight.from_parts(weight.n, perm): m for q, m in raw.items() for perm in _orbit_parts(q)
     }

@@ -198,3 +198,72 @@ def test_lr_matches_large_case(pair):
     a, b = pair
     assert is_much_greater(a, b)
     assert lr_coefficients(a, b) == large_case_mults(a, b)
+
+
+def _strips(shape, size, rows):
+    # Every shape above `shape` (at most `rows` rows) by a horizontal strip
+    # of `size` boxes: row r grows to at most the old length of row r - 1.
+    def rec(r, left, acc):
+        if r == rows:
+            if left == 0:
+                yield tuple(acc)
+            return
+        old = shape[r] if r < len(shape) else 0
+        cap = left if r == 0 else min(left, shape[r - 1] - old)
+        for extra in range(cap + 1):
+            yield from rec(r + 1, left - extra, acc + [old + extra])
+
+    return rec(0, size, [])
+
+
+def _lattice(prev, cur, new):
+    # In the reverse reading word (rows top to bottom, each right to left)
+    # the letter k of row r is read after all k - 1 of rows above and before
+    # those of row r, so the word is a lattice word iff, for every r, the k
+    # in rows <= r number at most the k - 1 in rows < r.
+    ks = above = 0
+    for r in range(len(new)):
+        ks += new[r] - cur[r]
+        if ks > above:
+            return False
+        above += cur[r] - prev[r]
+    return True
+
+
+def _lr_tableaux(a: Weight, b: Weight) -> dict[Weight, int]:
+    """Reference LR rule: count the LR tableaux of shape nu / a and content b
+    (one horizontal strip per letter, with the lattice condition on the
+    reverse reading word), with nu of at most n rows, and read each nu as
+    an sl_n weight."""
+    n = a.n
+    chains = [(a.to_parts(),)]
+    for k, size in enumerate(b.to_parts()):
+        chains = [
+            c + (s,)
+            for c in chains
+            for s in _strips(c[-1], size, n)
+            if k == 0 or _lattice(c[-2], c[-1], s)
+        ]
+    out: dict[Weight, int] = {}
+    for chain in chains:
+        nu = Weight.from_parts(n, chain[-1])
+        out[nu] = out.get(nu, 0) + 1
+    return out
+
+
+def test_lr_matches_tableau_count_on_small_grids():
+    pairs = [
+        (a, b)
+        for n, cmax in ((3, 3), (4, 2), (5, 1))
+        for a in dominant_weights(n, cmax)
+        for b in dominant_weights(n, cmax)
+    ]
+    assert len(pairs) == 1241
+    for a, b in pairs:
+        assert lr_coefficients(a, b).entries == _lr_tableaux(a, b), (a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(weights(6, 1), weights(6, 1))
+def test_lr_matches_tableau_count_sl6(a, b):
+    assert lr_coefficients(a, b).entries == _lr_tableaux(a, b)

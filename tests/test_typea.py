@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slnfusion.dyck import BoundVector, LatticePoint
 from slnfusion.fusion import GradedDecomposition, peel_character
@@ -11,9 +12,7 @@ from slnfusion.tensor import DecompositionMap
 from slnfusion.typea import (
     Root,
     Weight,
-    dominance_leq,
     dominant_weight_multiplicities,
-    orbit_size,
     pairing,
     positive_root_index,
     positive_roots,
@@ -42,6 +41,10 @@ def test_weight_construction_and_validation():
         Weight(1, ())
     with pytest.raises(ValueError):
         Weight(3, (1, "x"))
+    with pytest.raises(ValueError):
+        Weight(3, (1.0, 0))
+    with pytest.raises(ValueError):
+        Weight(3, (Fraction(1), 0))
 
 
 V11 = Weight(3, (1, 1))
@@ -91,6 +94,7 @@ def test_non_integer_entries_are_rejected_not_truncated(build, value):
         lambda n: GradedDecomposition(n, V11, V11, {(0, V11): 1}),
         Weight.zero,
         Weight.rho,
+        lambda n: Weight.from_parts(n, (1, 0, 0)),
         lambda n: LatticePoint.from_sparse(n, [(1, 1, 1)]),
     ],
     ids=[
@@ -100,6 +104,7 @@ def test_non_integer_entries_are_rejected_not_truncated(build, value):
         "GradedDecomposition",
         "Weight.zero",
         "Weight.rho",
+        "Weight.from_parts",
         "LatticePoint.from_sparse",
     ],
 )
@@ -121,6 +126,26 @@ def test_weight_algebra():
         a + Weight(2, (1,))
 
 
+@st.composite
+def weight_arithmetic(draw):
+    # One result of each internal constructor on drawn integer inputs.
+    n = draw(st.integers(2, 6))
+    ints = st.integers(-5, 5)
+    a, b = (Weight(n, draw(st.tuples(*[ints] * (n - 1)))) for _ in range(2))
+    k = draw(st.integers(-3, 3) | st.booleans())
+    parts = draw(st.tuples(*[ints] * n))
+    return [a + b, a - b, -a, k * a, a * k, Weight.from_parts(n, parts)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_arithmetic())
+def test_internal_weights_equal_checked_weights(results):
+    for w in results:
+        checked = Weight(w.n, w.coords)
+        assert w == checked and hash(w) == hash(checked)
+        assert type(w.n) is int and all(type(c) is int for c in w.coords)
+
+
 def test_named_weights():
     assert Weight.zero(3).coords == (0, 0)
     assert Weight.fundamental(4, 2).coords == (0, 1, 0)
@@ -135,6 +160,9 @@ def test_parts_round_trip():
     assert Weight.from_parts(3, (3, 1, 0)) == w
     # parts are normalized modulo a common shift
     assert Weight.from_parts(3, (4, 2, 1)) == w
+    for wrong_length in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="needs length 3"):
+            Weight.from_parts(3, wrong_length)
     assert Weight.zero(4).to_parts() == (0, 0, 0, 0)
     for n in (2, 3, 4):
         for w in dominant_weights(n, 2):
@@ -218,16 +246,6 @@ def test_weyl_orbit_frozen():
         weyl_orbit(Weight(3, (-1, 0)))
 
 
-def test_orbit_sizes():
-    assert orbit_size(Weight(3, (1, 0))) == 3
-    assert orbit_size(Weight(3, (1, 1))) == 6
-    assert orbit_size(Weight(3, (0, 2))) == 3
-    assert orbit_size(Weight.zero(4)) == 1
-    for n in (2, 3, 4):
-        for w in dominant_weights(n, 2):
-            assert orbit_size(w) == len(weyl_orbit(w))
-
-
 def test_orbit_is_permutation_closed():
     # every permutation of the parts vector appears exactly once
     w = Weight(3, (2, 1))
@@ -267,15 +285,6 @@ def test_root_coordinates():
         Fraction(1), Fraction(1), Fraction(1),
     )
     assert root_coordinates(Weight(3, (1, 0))) == (Fraction(2, 3), Fraction(1, 3))
-
-
-def test_dominance_leq():
-    lam = Weight(3, (1, 1))
-    assert dominance_leq(Weight.zero(3), lam)
-    assert dominance_leq(lam, lam)
-    assert not dominance_leq(lam, Weight.zero(3))
-    # differs by a non-integral combination
-    assert not dominance_leq(Weight(3, (1, 0)), lam)
 
 
 def test_root_lattice_height():
@@ -338,8 +347,8 @@ def test_dominant_multiplicities_consistency():
             for mu, mult in dom.items():
                 assert mu.is_dominant
                 assert full[mu] == mult
-                assert dominance_leq(mu, lam)
-            assert sum(m * orbit_size(mu) for mu, m in dom.items()) == weyl_dim(lam)
+                assert all(c.denominator == 1 and c >= 0 for c in root_coordinates(lam - mu))
+            assert sum(m * len(weyl_orbit(mu)) for mu, m in dom.items()) == weyl_dim(lam)
 
 
 def test_weight_json():
