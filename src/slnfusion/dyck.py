@@ -6,18 +6,21 @@ with the last column index.  A bound vector a = (a_alpha) cuts out the
 polytope { x >= 0 : sum_{alpha in p} x_alpha <= a_{base(p)} for every path p },
 and the integer points of that polytope are the objects everything downstream
 counts.  Enumeration runs on `inequalities`, the paths from a simple root to
-a simple root (every other path lies inside one of them with the same base,
-so its inequality is implied); `point_satisfies` checks the full system of
-`dyck_paths`.
+a simple root: every other path lies inside one of them with the same base,
+so its inequality is implied.
 
-The enumerator works on plain exponent tuples: a depth-first search in root
-order emits them in lexicographic order, the last two coordinates in one
-block per search leaf, and one stable sort by degree gives the (degree,
+The enumerator works on plain exponent tuples.  It splits the coordinates
+at a fixed index per rank into a head and a tail.  A depth-first search in
+root order runs over the head; each head is followed by its table of tails,
+and a tail table depends only on the least remaining slack of each group of
+inequalities with one support on the tail, so one dict per call computes
+each table once (see `lattice_points`).  The tuples come out in
+lexicographic order, and one stable sort by degree gives the (degree,
 exponents) order.  Only then is each tuple wrapped as a `LatticePoint`,
 without running the constructor's checks again: every tuple is valid by
-construction (see `lattice_points`).  Weights of points are summed in
-integers from the cached fundamental-weight coordinates of the positive
-roots, and a `Weight` is built once per result.
+construction.  Weights of points are summed in integers from the cached
+fundamental-weight coordinates of the positive roots, and a `Weight` is
+built once per result.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "bounds_from_pair",
     "bounds_from_weight",
     "lattice_points",
-    "point_satisfies",
     "dominant_points",
 ]
 
@@ -228,51 +230,77 @@ def _root_weight_columns(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _compiled_system(paths: tuple[DyckPath, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # (coordinate positions, base position) per path
-    return tuple(
-        (tuple(positive_root_index(r) for r in p.steps), positive_root_index(p.base))
-        for p in paths
-    )
-
-
-@lru_cache(maxsize=None)
-def _search_index(
-    n: int,
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-    """The index `lattice_points` searches sl_n with, built once per rank:
-    the base position of each inequality of `inequalities(n)`; for each
-    coordinate, the inequalities that touch it; and the inequalities of the
-    last coordinate split into those that also touch the one before it and
-    those that touch only the last (both empty for sl_2, which has one
-    coordinate; for n >= 3 neither is, by the paths alpha_{n-2} ->
-    alpha_{n-2,n-1} -> alpha_{n-1} and alpha_{n-1} alone)."""
-    system = _compiled_system(inequalities(n))
+def _search_index(n: int) -> tuple:
+    """The index `lattice_points` searches sl_n (n >= 3) with, built once per
+    rank.  The coordinates split at m = min(num // 2 + 1, num - 2), num =
+    n(n-1)/2, into a head 0..m-1 of at least one coordinate and a tail
+    m..num-1 of at least two.  It returns
+    - the base position of each inequality of `inequalities(n)`;
+    - for each head coordinate, the inequalities that touch it;
+    - the groups: the inequalities with one nonempty support on the tail, a
+      group per support;
+    - for each tail coordinate, the groups that touch it;
+    - the groups of the last coordinate split into those that also touch the
+      one before it and those that touch only the last (neither is empty, by
+      the paths alpha_{n-2} -> alpha_{n-2,n-1} -> alpha_{n-1} and alpha_{n-1}
+      alone, whose supports on the tail differ)."""
+    # (coordinate positions, base position) per inequality
+    system = [
+        (frozenset(map(positive_root_index, p.steps)), positive_root_index(p.base))
+        for p in inequalities(n)
+    ]
     num = n * (n - 1) // 2
-    touching = tuple(
-        tuple(s for s, (idxs, _) in enumerate(system) if k in idxs) for k in range(num)
+    split = min(num // 2 + 1, num - 2)
+    head_touching = tuple(
+        tuple(s for s, (idxs, _) in enumerate(system) if k in idxs) for k in range(split)
     )
-    both = only = ()
-    if num > 1:
-        both = tuple(s for s in touching[-1] if s in touching[-2])
-        only = tuple(s for s in touching[-1] if s not in touching[-2])
-    return tuple(base for _, base in system), touching, both, only
+    members: dict[frozenset[int], list[int]] = {}
+    for s, (idxs, _) in enumerate(system):
+        support = frozenset(k for k in idxs if k >= split)
+        if support:
+            members.setdefault(support, []).append(s)
+    tail_touching = tuple(
+        tuple(g for g, support in enumerate(members) if k in support)
+        for k in range(split, num)
+    )
+    both = tuple(g for g in tail_touching[-1] if g in tail_touching[-2])
+    only = tuple(g for g in tail_touching[-1] if g not in tail_touching[-2])
+    return (
+        tuple(base for _, base in system),
+        head_touching,
+        tuple(map(tuple, members.values())),
+        tail_touching,
+        both,
+        only,
+    )
 
 
 def lattice_points(bounds: BoundVector) -> list[LatticePoint]:
     """All integer points of the polytope cut out by `bounds`, sorted by
     (degree, exponents).
 
-    A depth-first search in root order keeps the remaining slack of each
-    inequality and bounds each coordinate by the least slack among the
-    inequalities that touch it.  At the second-to-last coordinate it emits
-    the last two coordinates as one block: for value v there, the last
-    coordinate runs over 0..min(A - v, B), where A is the least slack among
-    the inequalities touching both coordinates and B the least among those
-    touching only the last.  sl_2 has one coordinate and one inequality
-    x <= a, so its points are 0..a.  The exponent tuples come out in
-    lexicographic order, so one stable sort by degree gives the (degree,
-    exponents) order.
+    sl_2 has one coordinate and one inequality x <= a, so its points are
+    0..a.  For n >= 3 the coordinates split into a head and a tail (see
+    `_search_index`).  A depth-first search in root order runs over the
+    head: it keeps the remaining slack of each inequality and bounds each
+    coordinate by the least slack among the inequalities that touch it.  At
+    each head it appends the head followed by each point of its tail table.
+
+    The tail table of a head is the list of the tail vectors t that complete
+    it to a point of the polytope: those whose sum over each inequality's
+    support on the tail is at most that inequality's slack after the head.
+    Inequalities with the same support on the tail bound the same sum of t,
+    so only the least of their slacks matters; those with an empty support
+    there ask only 0 <= slack, which the head search keeps.  So the table
+    depends only on the key, the tuple of least slacks per group, and one
+    dict per call holds each table, computed once per key by the same
+    search over the tail, on the groups and their least slacks.  That
+    search emits the last two coordinates as one block: for value v at the
+    second-to-last, the last runs over 0..min(A - v, B), where A is the
+    least slack among the groups touching both coordinates and B the least
+    among those touching only the last.  Heads come out in lexicographic
+    order and each table in lexicographic order, so the exponent tuples do
+    too, and one stable sort by degree gives the (degree, exponents) order.
 
     The tuples are wrapped as `LatticePoint`s by `_wrap_points`, which skips
     `LatticePoint.__post_init__`: each one already is what that check would
@@ -280,42 +308,66 @@ def lattice_points(bounds: BoundVector) -> list[LatticePoint]:
     tuple is built by concatenating tuples, one entry per coordinate, so its
     length is n(n-1)/2.  Every entry is an int drawn from a `range(ub + 1)`
     with ub >= 0: the bounds are nonnegative, the search only takes a value
-    up to the least slack of the inequalities it touches, so every slack is
-    nonnegative whenever it goes one coordinate deeper; and A >= v, since A
-    is among the slacks that bound v."""
+    up to the least slack of the inequalities (or groups) it touches, so
+    every slack is nonnegative whenever it goes one coordinate deeper; and
+    A >= v, since A is among the slacks that bound v."""
     n = bounds.n
-    bases, touching, both, only = _search_index(n)
-    slack = [bounds.values[base] for base in bases]
-    if len(touching) == 1:
-        out = [(v,) for v in range(slack[0] + 1)]
+    if n == 2:
+        out = [(v,) for v in range(bounds.values[0] + 1)]
     else:
-        leaf = len(touching) - 2
-        acc = [0] * leaf
+        bases, head_touching, groups, tail_touching, both, only = _search_index(n)
+        slack = [bounds.values[base] for base in bases]
+        last = len(head_touching) - 1
+        leaf = len(tail_touching) - 2
+        acc = [0] * (last + 1)
+        tail_acc = [0] * leaf
+        tables: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         out = []
 
-        def rec(k: int) -> None:
-            ids = touching[k]
-            ub = min(map(slack.__getitem__, ids))
+        def tail(k: int, free: list[int], table: list) -> None:
+            ids = tail_touching[k]
+            ub = min(map(free.__getitem__, ids))
             if k == leaf:
-                head = tuple(acc)
-                a = min(map(slack.__getitem__, both))
-                b = min(map(slack.__getitem__, only))
+                prefix = tuple(tail_acc)
+                a = min(map(free.__getitem__, both))
+                b = min(map(free.__getitem__, only))
                 for v in range(ub + 1):
-                    hv = head + (v,)
-                    out.extend([hv + (w,) for w in range(min(a - v, b) + 1)])
+                    hv = prefix + (v,)
+                    table.extend([hv + (w,) for w in range(min(a - v, b) + 1)])
                 return
             for v in range(ub + 1):
+                tail_acc[k] = v
+                tail(k + 1, free, table)
+                for g in ids:
+                    free[g] -= 1
+            for g in ids:
+                free[g] += ub + 1
+
+        def rec(k: int) -> None:
+            ids = head_touching[k]
+            ub = min(map(slack.__getitem__, ids))
+            for v in range(ub + 1):
                 acc[k] = v
-                rec(k + 1)
+                if k == last:
+                    key = tuple([min(map(slack.__getitem__, g)) for g in groups])
+                    table = tables.get(key)
+                    if table is None:
+                        table = tables[key] = []
+                        tail(0, list(key), table)
+                    head = tuple(acc)
+                    out.extend([head + t for t in table])
+                else:
+                    rec(k + 1)
                 for s in ids:
                     slack[s] -= 1
             for s in ids:
                 slack[s] += ub + 1
 
         rec(0)
-        # rec holds itself through its closure; dropping it here breaks that
-        # cycle, so the points are freed as soon as the caller lets go of them
-        del rec
+        # rec and tail hold themselves through their closures; dropping them
+        # here breaks those cycles, so the points are freed as soon as the
+        # caller lets go of them
+        del rec, tail
     out.sort(key=sum)
     _wrap_points(n, out)
     return out
@@ -335,17 +387,6 @@ def _wrap_points(n: int, out: list) -> None:
         _set_n(point, n)
         _set_exps(point, exps)
         out[i] = point
-
-
-def point_satisfies(point: LatticePoint, bounds: BoundVector) -> bool:
-    """Membership test against the full system, one inequality per path of
-    `dyck_paths`: the reference that `lattice_points` is checked against."""
-    if point.n != bounds.n:
-        raise ValueError(f"rank mismatch: sl_{point.n} vs sl_{bounds.n}")
-    for idxs, base in _compiled_system(dyck_paths(point.n)):
-        if sum(point.exps[k] for k in idxs) > bounds.values[base]:
-            return False
-    return True
 
 
 def dominant_points(

@@ -120,16 +120,17 @@ def _lowering_pass(order, dims, spaces, maps, rows, prev_rows) -> None:
                     break
 
 
-def _tensor_columns(cols1, cols2) -> list:
+def _tensor_columns(cols1, cols2, pairs) -> dict:
     """Columns of x (x) 1 + 1 (x) x on V1 (x) V2 (flat index a * d2 + b)
-    from the columns of x on V1 and on V2; empty columns for V1 give
+    from the columns of x on V1 and on V2, keyed by flat index, for the
+    index pairs (a, b) in `pairs` alone; empty columns for V1 give
     1 (x) x alone."""
     d2 = len(cols2)
-    return [
-        [(r * d2 + b, c) for r, c in col1] + [(a * d2 + r, c) for r, c in cols2[b]]
-        for a, col1 in enumerate(cols1)
-        for b in range(d2)
-    ]
+    return {
+        a * d2 + b: [(r * d2 + b, c) for r, c in cols1[a]]
+        + [(a * d2 + r, c) for r, c in cols2[b]]
+        for a, b in pairs
+    }
 
 
 def _exterior_power(n: int, k: int):
@@ -225,8 +226,9 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
         k = nonzero[-1]
         rest = _build_irrep(lam - Weight.fundamental(n, k))
         ext_e, ext_f = _exterior_power(n, k)
-        e_cols = [_tensor_columns(ext_e[a], rest.e[a]) for a in range(n - 1)]
-        f_cols = [_tensor_columns(ext_f[a], rest.f[a]) for a in range(n - 1)]
+        pairs = list(itertools.product(range(len(ext_e[0])), range(rest.dim)))
+        e_cols = [_tensor_columns(ext_e[a], rest.e[a], pairs) for a in range(n - 1)]
+        f_cols = [_tensor_columns(ext_f[a], rest.f[a], pairs) for a in range(n - 1)]
     else:
         e_cols = f_cols = [[()]] * (n - 1)
     alphas = [simple_root_weight(n, k) for k in range(1, n)]
@@ -399,10 +401,19 @@ class GradedDecomposition:
         }
 
 
-def _lowering_maps(m1: ExplicitModule, m2: ExplicitModule):
+def _indices_by_weight(m: ExplicitModule) -> dict[Weight, list[int]]:
+    """The basis indices of m grouped by weight, weights in basis order."""
+    out: dict[Weight, list[int]] = {}
+    for i, w in enumerate(m.weights):
+        out.setdefault(w, []).append(i)
+    return out
+
+
+def _lowering_maps(m1: ExplicitModule, m2: ExplicitModule, pairs):
     """For each k: alpha_k and plain-int column maps of f_k and 1 (x) f_k on
-    m1 (x) m2 (flat index a * m2.dim + b).  Both are scaled by the lcm of the
-    denominators of f_k on m1 and m2, so spans are unchanged."""
+    m1 (x) m2 (flat index a * m2.dim + b), built at the index pairs (a, b)
+    of `pairs` alone.  Both are scaled by the lcm of the denominators of f_k
+    on m1 and m2, so spans are unchanged."""
     maps = []
     for k in range(1, m1.n):
         scale = math.lcm(
@@ -412,8 +423,8 @@ def _lowering_maps(m1: ExplicitModule, m2: ExplicitModule):
         f2 = [[(r, int(c * scale)) for r, c in col] for col in m2.f[k - 1]]
         maps.append((
             simple_root_weight(m1.n, k),
-            _tensor_columns(f1, f2),
-            _tensor_columns([()] * m1.dim, f2),
+            _tensor_columns(f1, f2, pairs),
+            _tensor_columns([()] * m1.dim, f2, pairs),
         ))
     return maps
 
@@ -445,16 +456,25 @@ def fusion_graded(
     n = m1.n
     full = m1.dim * m2.dim
     top = m1.highest + m2.highest
-    maps = _lowering_maps(m1, m2)
 
-    dims: dict[Weight, int] = {}
-    for w1, k1 in m1.weight_space_dims().items():
-        for w2, k2 in m2.weight_space_dims().items():
-            dims[w1 + w2] = dims.get(w1 + w2, 0) + k1 * k2
+    # the basis of m1 (x) m2 by weight, one block of index pairs per (w1, w2)
+    blocks: dict[Weight, list[tuple[list[int], list[int]]]] = {}
+    indices2 = _indices_by_weight(m2).items()
+    for w1, block1 in _indices_by_weight(m1).items():
+        for w2, block2 in indices2:
+            blocks.setdefault(w1 + w2, []).append((block1, block2))
+    dims = {w: sum(len(a) * len(b) for a, b in bl) for w, bl in blocks.items()}
     height = {w: root_lattice_height(top - w) for w in dims}
     reach = max(h for w, h in height.items() if w.is_dominant)
     order = sorted((w for w in dims if height[w] <= reach), key=height.__getitem__)
     spaces = {w: IntegerRowSpan() for w in order}
+    # a row of weight mu is supported on the basis vectors of weight mu, and
+    # the pass reads rows of visited weights alone, so it needs their columns
+    maps = _lowering_maps(
+        m1,
+        m2,
+        [pair for w in order for a, b in blocks[w] for pair in itertools.product(a, b)],
+    )
 
     # Rows added in degrees s-1 and s, by weight.  A row gets f_k in the
     # degree it was added and 1 (x) f_k in the next one: f_k F_{s-1} and

@@ -25,6 +25,7 @@ from .typea import (
     _dominant_mults_by_parts,
     _orbit_parts,
     _weight,
+    _weyl_dim_parts,
     exact_ints,
     weyl_dim,
 )
@@ -108,7 +109,8 @@ class DecompositionMap:
         }
 
     def dimension(self) -> int:
-        return sum(m * weyl_dim(w) for w, m in self._entries.items())
+        # every entry is dominant, so the cached formula needs no check
+        return sum(m * _weyl_dim_parts(w.to_parts()) for w, m in self._entries.items())
 
 
 def _klimyk(lambda1: Weight, lambda2: Weight) -> dict[Weight, int]:

@@ -267,11 +267,19 @@ def weyl_orbit(weight: Weight) -> tuple[Weight, ...]:
 def weyl_dim(weight: Weight) -> int:
     """Dimension of the irreducible module V(weight), by the Weyl formula."""
     _require_dominant(weight, "weyl_dim")
-    shifted = [p + (weight.n - 1 - k) for k, p in enumerate(weight.to_parts())]
+    return _weyl_dim_parts(weight.to_parts())
+
+
+@lru_cache(maxsize=None)
+def _weyl_dim_parts(parts: tuple[int, ...]) -> int:
+    """`weyl_dim` of the dominant weight with these parts, cached by them;
+    for callers that hold weights already checked dominant."""
+    n = len(parts)
+    shifted = [p + (n - 1 - k) for k, p in enumerate(parts)]
     num = 1
     den = 1
-    for a in range(weight.n):
-        for b in range(a + 1, weight.n):
+    for a in range(n):
+        for b in range(a + 1, n):
             num *= shifted[a] - shifted[b]
             den *= b - a
     dim, rem = divmod(num, den)

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,6 @@ from slnfusion.dyck import (
     dyck_paths,
     inequalities,
     lattice_points,
-    point_satisfies,
 )
 from slnfusion.cases import pieri_row, rect_hw_points
 from slnfusion.tensor import lr_coefficients
@@ -25,6 +25,7 @@ from slnfusion.typea import (
     Root,
     Weight,
     _dominant_parts_below,
+    positive_root_index,
     positive_roots,
     root_as_weight,
     weyl_dim,
@@ -37,6 +38,26 @@ def weight_sum(point):
     for root, s in zip(positive_roots(point.n), point.exps):
         acc = acc + s * root_as_weight(root)
     return acc
+
+
+@lru_cache(maxsize=None)
+def full_system(n):
+    """(coordinate positions, base position) of every path of `dyck_paths`."""
+    return tuple(
+        ([positive_root_index(r) for r in p.steps], positive_root_index(p.base))
+        for p in dyck_paths(n)
+    )
+
+
+def point_satisfies(point, bounds):
+    """Membership test against the full system, one inequality per path of
+    `dyck_paths`: the reference that `lattice_points` is checked against."""
+    if point.n != bounds.n:
+        raise ValueError(f"rank mismatch: sl_{point.n} vs sl_{bounds.n}")
+    for idxs, base in full_system(point.n):
+        if sum(point.exps[k] for k in idxs) > bounds.values[base]:
+            return False
+    return True
 
 
 @st.composite
@@ -225,12 +246,36 @@ def lattice_points_digest(n, top):
     [
         (5, 2, "dd0869ef1fdd2e1116d607ec48bea1ad0a72f68d9414db91448a758f96ced16f"),
         (4, 3, "ac50fcd7671f1fb949e1aaba1c2287df764ae1c3c836768586f84f9dc8d3d125"),
+        # sl_6 has the longest tail of the head/tail split, 7 of its 15
+        # coordinates
+        (6, 1, "5f74d7312424bc0e3345cd7d5f8b11dd1c5983c19786d7cf6fae2fad80bf5f05"),
     ],
 )
 def test_lattice_points_pinned_digest(n, top, expected):
     # beyond brute-force reach (sl_5 V(2,2,2,2) alone has 59,049 points): the
     # digest catches a change of order or a duplicated point
     assert lattice_points_digest(n, top) == expected
+
+
+def pair_points_digest(n, top):
+    """sha256 of the exponent lists of the pair polytope bounds_from_pair(lam1,
+    lam2) for every ordered pair of weights of sl_n with coordinates at most
+    `top`, in grid order."""
+    h = hashlib.sha256()
+    grid = [Weight(n, c) for c in itertools.product(range(top + 1), repeat=n - 1)]
+    for lam1, lam2 in itertools.product(grid, repeat=2):
+        points = lattice_points(bounds_from_pair(lam1, lam2))
+        h.update(repr([p.exps for p in points]).encode())
+    return h.hexdigest()
+
+
+def test_pair_points_pinned_digest():
+    # the 729 ordered pairs of sl_4 with coordinates at most 2; a pair's
+    # bounds are the least of two pairing vectors, which in general is the
+    # pairing vector of no weight
+    assert pair_points_digest(4, 2) == (
+        "56d0f6a571c94c79ac00973fecb37cca862ae79727349c32724838614087bb1b"
+    )
 
 
 @settings(max_examples=40, deadline=None)
