@@ -1,15 +1,19 @@
 """Explicit sl_n modules and graded fusion products of two factors.
 
-`build_irrep` realizes V(lambda) with exact rational generator matrices, as
-the cyclic span of the top vector inside V(omega_k) (x) V(lambda - omega_k),
-k the largest index with lambda_k > 0.  V(omega_k) is the k-th exterior
-power of the vector representation, with the k-subsets of {1..n} as basis;
-V(lambda - omega_k) comes from the same construction.  `_tensor_columns`
-is the one action x (x) 1 + 1 (x) x of a generator on a two-factor tensor
-product.  `fusion_graded` then filters V(lambda1) (x) V(lambda2),
-viewed as a two-point evaluation module over the current algebra at distinct
-points c1 and c2, by polynomial degree.  v1 (x) v2 generates it under
-U(n^-[t]) and t^2 acts through t and 1, so the degree-s piece is
+`build_irrep` realizes V(lambda) by exact rational matrices of its lowering
+operators f_k alone, as the cyclic span of the top vector inside
+V(omega_k) (x) V(lambda - omega_k), k the largest index with lambda_k > 0.
+V(omega_k) is the k-th exterior power of the vector representation, with
+the k-subsets of {1..n} as basis; V(lambda - omega_k) comes from the same
+construction.  As a module over n^-, V(lambda) is
+U(n^-) / sum_k U(n^-) f_k^{lambda_k + 1}, generated by its top vector, and
+the filtration below reads only that structure and the weights, so e_k and
+h_k are never built.  `_tensor_columns` is the one action x (x) 1 + 1 (x) x
+of a generator on a two-factor tensor product.  `fusion_graded` then
+filters V(lambda1) (x) V(lambda2), viewed as a two-point evaluation module
+over the current algebra at distinct points c1 and c2, by polynomial
+degree.  v1 (x) v2 generates it under U(n^-[t]) and t^2 acts through t
+and 1, so the degree-s piece is
 F_s(mu) = sum_k f_k F_s(mu + alpha_k) + (f_k (x) t) F_{s-1}(mu + alpha_k),
 computed for each degree by one pass down the weights in order of height
 (`_lowering_pass`, which also builds V(lambda) as such a degree 0).
@@ -134,58 +138,40 @@ def _tensor_columns(cols1, cols2, pairs) -> dict:
 
 
 def _exterior_power(n: int, k: int):
-    """Columns of e_a and f_a (entries 1) on the k-th fundamental module of
-    sl_n, with the k-subsets of {1..n} in lexicographic order as basis:
-    f_a replaces a by a+1 and e_a replaces a+1 by a.  Index 0 is {1..k}, of
-    weight omega_k."""
+    """Columns of f_a (entries 1) on the k-th fundamental module of sl_n,
+    with the k-subsets of {1..n} in lexicographic order as basis: f_a
+    replaces a by a+1.  Index 0 is {1..k}, of weight omega_k."""
     subsets = list(itertools.combinations(range(1, n + 1), k))
     index = {s: i for i, s in enumerate(subsets)}
-
-    def moved(old: int, new: int):
-        return [
-            [(index[tuple(sorted(set(s) - {old} | {new}))], 1)]
-            if old in s and new not in s
+    return tuple(
+        [
+            [(index[tuple(sorted(set(s) - {a} | {a + 1}))], 1)]
+            if a in s and a + 1 not in s
             else []
             for s in subsets
         ]
-
-    e = tuple(moved(a + 1, a) for a in range(1, n))
-    f = tuple(moved(a, a + 1) for a in range(1, n))
-    return e, f
+        for a in range(1, n)
+    )
 
 
 @dataclass(eq=False)
 class ExplicitModule:
-    """An irreducible module with exact sparse generator matrices.
+    """An irreducible module V(highest) given by exact sparse matrices of its
+    lowering operators, all that the fusion filtration reads.
 
     Basis vectors are grouped by weight (weights[i] is the weight of basis
-    vector i; index 0 is the highest-weight vector).  e/f matrices are stored
-    column-wise: e[k-1][col] is a tuple of (row, Fraction) entries.  h_k is
-    diagonal with integer eigenvalue h[k-1][col]."""
+    vector i; index 0 is the highest-weight vector, which generates the
+    module under the f_k).  The f matrices are stored column-wise:
+    f[k-1][col] is a tuple of (row, Fraction) entries."""
 
     n: int
     highest: Weight
     weights: tuple[Weight, ...]
-    e: tuple
     f: tuple
-    h: tuple
 
     @property
     def dim(self) -> int:
         return len(self.weights)
-
-    def apply(self, which: str, k: int, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Action of e_k / f_k / h_k on a sparse coordinate vector."""
-        if which == "h":
-            diag = self.h[k - 1]
-            return {i: v * diag[i] for i, v in vec.items() if v and diag[i]}
-        return _apply((self.e if which == "e" else self.f)[k - 1], vec)
-
-    def weight_space_dims(self) -> dict[Weight, int]:
-        dims: dict[Weight, int] = {}
-        for w in self.weights:
-            dims[w] = dims.get(w, 0) + 1
-        return dims
 
 
 def build_irrep(lam: Weight, cap: int = DEFAULT_DIM_CAP) -> ExplicitModule:
@@ -205,15 +191,17 @@ def build_irrep(lam: Weight, cap: int = DEFAULT_DIM_CAP) -> ExplicitModule:
 
 @lru_cache(maxsize=None)
 def _build_irrep(lam: Weight) -> ExplicitModule:
-    """V(lam) as the cyclic span of the top vector (index 0) of
-    V(omega_k) (x) V(lam - omega_k), k the largest index with lam_k > 0.  The
-    first factor is `_exterior_power(n, k)`; the second is built the same
-    way, down to the line V(0).  The span is degree 0 of the filtration of
-    `fusion_graded`: one `_lowering_pass` with f_k alone over the weights of
-    V(lam), and the basis is the reduced echelon basis of each weight space.
-    With the exterior power leading the flat index, it gives small integral
-    generator matrices on every module measured, which keeps the integer
-    row reduction of `fusion_graded` cheap.
+    """V(lam), by its lowering operators, as the cyclic span of the top
+    vector (index 0) of V(omega_k) (x) V(lam - omega_k), k the largest index
+    with lam_k > 0.  The first factor is `_exterior_power(n, k)`; the second
+    is built the same way, down to the line V(0), and only its f_k are read.
+    The span is degree 0 of the filtration of `fusion_graded`: one
+    `_lowering_pass` with f_k alone over the weights of V(lam), and the
+    basis is the reduced echelon basis of each weight space.  Each f_k of
+    V(lam) is the tensor f_k restricted to that span, in that basis.  With
+    the exterior power leading the flat index, it gives small integral
+    matrices on every module measured, which keeps the integer row
+    reduction of `fusion_graded` cheap.
 
     The top vector v (x) v' is a highest-weight vector of weight lam in a
     finite-dimensional module, so it generates a copy of V(lam), and lam has
@@ -225,12 +213,11 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
     if nonzero:
         k = nonzero[-1]
         rest = _build_irrep(lam - Weight.fundamental(n, k))
-        ext_e, ext_f = _exterior_power(n, k)
-        pairs = list(itertools.product(range(len(ext_e[0])), range(rest.dim)))
-        e_cols = [_tensor_columns(ext_e[a], rest.e[a], pairs) for a in range(n - 1)]
-        f_cols = [_tensor_columns(ext_f[a], rest.f[a], pairs) for a in range(n - 1)]
+        ext = _exterior_power(n, k)
+        pairs = list(itertools.product(range(len(ext[0])), range(rest.dim)))
+        f_cols = [_tensor_columns(ext[a], rest.f[a], pairs) for a in range(n - 1)]
     else:
-        e_cols = f_cols = [[()]] * (n - 1)
+        f_cols = [[()]] * (n - 1)
     alphas = [simple_root_weight(n, k) for k in range(1, n)]
 
     dims = weight_multiplicities(lam)
@@ -259,14 +246,14 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
     if weights[0] != lam:
         raise AssertionError("highest-weight vector is not basis vector 0")
 
-    def matrix(cols, shift: Weight):
+    def matrix(cols, alpha: Weight):
         out = []
         for w, p in flat:
             img = _apply(cols, spaces[w].row(p))
             if not img:
                 out.append(())
                 continue
-            tw = w + shift
+            tw = w - alpha
             target = spaces.get(tw)
             if target is None:
                 raise AssertionError("generator image escaped the module")
@@ -274,12 +261,8 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
             out.append(tuple(sorted((gidx[(tw, q)], c) for q, c in coords.items())))
         return tuple(out)
 
-    e = tuple(matrix(e_cols[k - 1], alphas[k - 1]) for k in range(1, n))
-    f = tuple(matrix(f_cols[k - 1], -alphas[k - 1]) for k in range(1, n))
-    h = tuple(
-        tuple(w.coords[k - 1] for w in weights) for k in range(1, n)
-    )
-    return ExplicitModule(n=n, highest=lam, weights=weights, e=e, f=f, h=h)
+    f = tuple(matrix(f_cols[k - 1], alphas[k - 1]) for k in range(1, n))
+    return ExplicitModule(n=n, highest=lam, weights=weights, f=f)
 
 
 # ---------------------------------------------------------------------------
