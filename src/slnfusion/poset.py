@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import le
 
 from .cases import proven_regime
 from .dyck import BoundVector, bounds_from_pair
@@ -87,8 +88,7 @@ def enumerate_pairs(lam: Weight) -> list[WeightPair]:
         mu = Weight(lam.n, coords)
         seen.add(WeightPair(mu, lam - mu))
     return sorted(
-        seen,
-        key=lambda p: ([-x for x in p.first.to_parts()], [-x for x in p.second.to_parts()]),
+        seen, key=lambda p: (p.first.to_parts(), p.second.to_parts()), reverse=True
     )
 
 
@@ -198,19 +198,22 @@ def poset_report(lam: Weight) -> PosetReport:
     """Full poset snapshot: cover edges only (transitive reduction), each
     cover labeled with its `schur_positive` verdict.
 
-    `order_leq` runs once per ordered pair of nodes; the strict order, the
-    covers and the extremal-element assertions all read that one matrix."""
+    The order matrix is built once, from the nodes' min-vectors: every node
+    sums to lam, so `order_leq`'s check of the totals would add nothing.  The
+    strict order, the covers and the extremal-element assertions all read that
+    one matrix."""
     nodes = enumerate_pairs(lam)
-    k = len(nodes)
-    leq = tuple(tuple(order_leq(a, b) for b in nodes) for a in nodes)
-    below = [[leq[a][b] and not leq[b][a] for b in range(k)] for a in range(k)]
+    mins = [p.min_vector.values for p in nodes]
+    leq = tuple(tuple(all(map(le, a, b)) for b in mins) for a in mins)
+    # above[a]: the nodes strictly above node a
+    above = [
+        {b for b, (up, down) in enumerate(zip(row, col)) if up and not down}
+        for row, col in zip(leq, zip(*leq))
+    ]
     edges = []
-    for a in range(k):
-        for b in range(k):
-            if not below[a][b]:
-                continue
-            if any(below[a][c] and below[c][b] for c in range(k)):
-                continue
+    for a, ups in enumerate(above):
+        # a cover of a is above a but above no node that is above a
+        for b in sorted(ups.difference(*(above[c] for c in ups))):
             high, low = nodes[b], nodes[a]
             edges.append(
                 (a, b, schur_positive((high.first, high.second), (low.first, low.second)))

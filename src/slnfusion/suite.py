@@ -222,11 +222,12 @@ def check_poset(n_max: int = 4, coord_max: int = 3):
     """Criteria 8 and 9 in one pass over the posets of the sweep; both
     results report that pass's time.
 
-    - poset-axioms: on the `order_leq` matrix that each `poset_report` was
-      built from, the order is reflexive, antisymmetric and transitive,
-      (lam, 0) is the unique minimum, the maximal-pair formula gives the
-      unique maximum, and the lattice-point sets of comparable pairs nest
-      (materialized on the smaller instances).  A report that raises on its
+    - poset-axioms: on the order matrix that each `poset_report` was built
+      from (its entries are `order_leq` of each ordered pair), the order
+      is reflexive, antisymmetric and transitive, (lam, 0) is the unique
+      minimum, the maximal-pair formula gives the unique maximum, and the
+      lattice-point sets of comparable pairs nest (materialized on the
+      smaller instances).  A report that raises on its
       extremal elements fails the criterion for that weight.
     - schur-positivity: the Schur product difference (higher minus lower) of
       every cover relation of `poset_report` is nonnegative.  This covers

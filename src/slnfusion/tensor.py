@@ -5,10 +5,11 @@ constituents of V(lambda1) (x) V(lambda2) by the classical reflection rule:
 walk the full weight diagram of one factor, shift by lambda + rho, discard
 singular points (repeated epsilon-parts), and fold regular points back into
 the dominant chamber with the sign of the sorting permutation.  The diagram
-is read from `typea`'s cached Weyl orbits (one per dominant weight), and one
-pass over each shifted point finds both whether it is singular and its
-sign.  Everything stays in plain integer tuples, and the final
-multiplicities are checked nonnegative before they are returned.
+is read from `typea`'s cached Weyl orbits (one per dominant weight).  A
+shifted point is singular when its parts repeat; a regular point's
+inversions are counted only if sorting moves it.  Everything stays in plain
+integer tuples, the final multiplicities are checked nonnegative, and the
+constituents are emitted in report order, so the map needs no second sort.
 `schur_positive` compares two such decompositions of one total weight by
 multiset containment.
 """
@@ -16,7 +17,8 @@ multiset containment.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from itertools import combinations, starmap
+from operator import add, lt
 from typing import Mapping
 
 from .typea import (
@@ -37,12 +39,6 @@ __all__ = [
 ]
 
 
-def _sorted_items(entries: Mapping[Weight, int]) -> list[tuple[Weight, int]]:
-    # Descending lexicographic order on parts refines descending dominance
-    # for weights of equal parts-total, so this is the canonical report order.
-    return sorted(entries.items(), key=lambda kv: kv[0].to_parts(), reverse=True)
-
-
 class DecompositionMap:
     """Decomposition of a genuine module: dominant weights with positive
     integer multiplicities (zero entries dropped)."""
@@ -61,16 +57,11 @@ class DecompositionMap:
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} at {w}")
             checked[w] = m
-        self._entries = {w: m for w, m in _sorted_items(checked)}
-
-    @classmethod
-    def _trusted(cls, n: int, entries: Mapping[Weight, int]) -> "DecompositionMap":
-        """A map from entries that pass the checks of `__init__` by
-        construction, kept in the same report order."""
-        self = object.__new__(cls)
-        self.n = n
-        self._entries = {w: m for w, m in _sorted_items(entries)}
-        return self
+        # Report order: descending lexicographic order on parts, which refines
+        # descending dominance for weights of equal parts-total.
+        self._entries = dict(
+            sorted(checked.items(), key=lambda kv: kv[0].to_parts(), reverse=True)
+        )
 
     @property
     def entries(self) -> dict[Weight, int]:
@@ -114,34 +105,31 @@ class DecompositionMap:
 
 
 def _klimyk(lambda1: Weight, lambda2: Weight) -> dict[Weight, int]:
-    """Reflection-rule decomposition walking the diagram of the second factor."""
+    """Reflection-rule decomposition walking the diagram of the second
+    factor, with its constituents already in report order."""
     n = lambda1.n
     shift = [p + n - 1 - k for k, p in enumerate(lambda1.to_parts())]  # lambda1 + rho
     # Keyed by the sorted shifted parts; all share one total, so the key
     # determines the constituent.
     acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
     for q, mult in _dominant_mults_by_parts(n, lambda2.to_parts()).items():
         for nu in _orbit_parts(q):
             parts = list(map(add, shift, nu))
-            # One pass finds both: a tie means the point is singular (it lies
-            # on a chamber wall and contributes nothing), else each inversion
-            # flips the sign of the sorting permutation.
+            if len(set(parts)) < n:
+                continue  # on a chamber wall: contributes nothing
+            key = sorted(parts, reverse=True)
+            # the sign of the sorting permutation: -1 to the inversion count
             sign = mult
-            for a in range(n - 1):
-                x = parts[a]
-                for y in parts[a + 1 :]:
-                    if x < y:
-                        sign = -sign
-                    elif x == y:
-                        sign = 0
-                        break
-                if not sign:
-                    break
-            else:
-                key = tuple(sorted(parts, reverse=True))
-                acc[key] = acc.get(key, 0) + sign
+            if key != parts and sum(starmap(lt, combinations(parts, 2))) & 1:
+                sign = -mult
+            key = tuple(key)
+            acc[key] = get(key, 0) + sign
     out: dict[Weight, int] = {}
-    for key, mult in acc.items():
+    # A constituent's parts are `key - key[-1] - rho`, and rho is the same for
+    # every key, so sorting by `key - key[-1]` sorts by parts: report order.
+    for key in sorted(acc, key=lambda k: [x - k[-1] for x in k], reverse=True):
+        mult = acc[key]
         if mult == 0:
             continue
         if mult < 0:
@@ -156,7 +144,12 @@ def _lr_cached(lambda1: Weight, lambda2: Weight) -> DecompositionMap:
     # Walk the diagram of the factor with the smaller module dimension.
     if weyl_dim(lambda2) > weyl_dim(lambda1):
         lambda1, lambda2 = lambda2, lambda1
-    return DecompositionMap._trusted(lambda1.n, _klimyk(lambda1, lambda2))
+    # `_klimyk` returns positive multiplicities of dominant weights in report
+    # order, which is all that `DecompositionMap.__init__` would check and sort.
+    out = object.__new__(DecompositionMap)
+    out.n = lambda1.n
+    out._entries = _klimyk(lambda1, lambda2)
+    return out
 
 
 def lr_coefficients(lambda1: Weight, lambda2: Weight) -> DecompositionMap:
@@ -187,5 +180,5 @@ def schur_positive(
         raise ValueError(
             f"pairs must share the same total weight, got {h1 + h2} vs {l1 + l2}"
         )
-    high = lr_coefficients(h1, h2)
-    return all(high[w] >= m for w, m in lr_coefficients(l1, l2)._entries.items())
+    high = lr_coefficients(h1, h2)._entries.get
+    return all(high(w, 0) >= m for w, m in lr_coefficients(l1, l2)._entries.items())

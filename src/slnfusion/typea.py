@@ -106,11 +106,11 @@ class Weight:
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check_same_rank(other)
-        return _weight(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _weight(self.n, tuple(map(operator.add, self.coords, other.coords)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check_same_rank(other)
-        return _weight(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _weight(self.n, tuple(map(operator.sub, self.coords, other.coords)))
 
     def __neg__(self) -> "Weight":
         return _weight(self.n, tuple(-a for a in self.coords))
@@ -126,7 +126,7 @@ class Weight:
 
     @property
     def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
+        return min(self.coords) >= 0
 
     @property
     def is_zero(self) -> bool:

@@ -1,5 +1,6 @@
 """Two-part splitting posets, their cover relations, Weyl predictions."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -228,6 +229,33 @@ def test_poset_report_edges_are_covers(lam):
         )
     assert report.min_pair == nodes[0] == WeightPair(lam, Weight.zero(lam.n))
     assert report.max_pair == maximal_pair(lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dominant_weights())
+def test_poset_report_order_matrix_is_order_leq(lam):
+    # the report builds its matrix from the min-vectors directly; it must be
+    # the public order on every ordered pair of nodes
+    report = poset_report(lam)
+    nodes = report.nodes
+    assert report.leq == tuple(tuple(order_leq(a, b) for b in nodes) for a in nodes)
+
+
+def test_poset_and_weyl_outputs_pinned():
+    # sha256 over the JSON of every poset report of sl_3 <= 4 and sl_4 <= 3,
+    # and of every Weyl prediction of sl_5 <= 2, in grid order
+    reports = hashlib.sha256()
+    for lam in dominant_weights(3, 4) + dominant_weights(4, 3):
+        reports.update(repr(poset_report(lam).to_json()).encode())
+    assert reports.hexdigest() == (
+        "9081353957f0fd313d6022c8ebd57df51fbc0058be895f3b74b81111b825d2cc"
+    )
+    predictions = hashlib.sha256()
+    for lam in dominant_weights(5, 2):
+        predictions.update(repr(weyl_character_prediction(lam).to_json()).encode())
+    assert predictions.hexdigest() == (
+        "ee446b705f6f65fdb8534bf301581371a741c9c5671115c043a85944887cf621"
+    )
 
 
 @st.composite

@@ -163,6 +163,25 @@ def test_lr_symmetric_and_dimension_property(pair):
     assert got.dimension() == weyl_dim(a) * weyl_dim(b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(weights(n, 3 if n < 5 else 2), weights(n, 3 if n < 5 else 2))
+    )
+)
+def test_lr_report_order_matches_checked_constructor(pair):
+    # the reflection rule emits constituents in report order itself: strictly
+    # descending parts, exactly as the checked constructor sorts them
+    a, b = pair
+    got = lr_coefficients(a, b)
+    parts = [w.to_parts() for w, _ in got.items_sorted()]
+    assert all(x > y for x, y in zip(parts, parts[1:]))
+    checked = DecompositionMap(a.n, got.entries)
+    assert got == checked
+    assert got.items_sorted() == checked.items_sorted()
+    assert got.to_json() == checked.to_json()
+
+
 def _expand(pairs):
     # sum of m * lr(x, y) over (x, y, m), in the irreducible basis
     out = {}
