@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 from typing import Iterable
 
@@ -35,7 +36,6 @@ from .typea import (
     Weight,
     _check_rank,
     exact_ints,
-    pairing,
     positive_root_index,
     positive_roots,
     root_as_weight,
@@ -154,15 +154,21 @@ class BoundVector:
         return all(a <= b for a, b in zip(self.values, other.values))
 
 
+def _root_pairings(weight: Weight) -> tuple[int, ...]:
+    """weight(h_alpha) for every positive root, in root order: with prefix
+    sums P_k = m_1 + ... + m_k, the pairing with alpha_{i,j} is P_j - P_{i-1}."""
+    n = weight.n
+    pref = (0, *accumulate(weight.coords))
+    return tuple(pref[j] - pref[i - 1] for i in range(1, n) for j in range(i, n))
+
+
 def bounds_from_pair(lambda1: Weight, lambda2: Weight) -> BoundVector:
     """a_alpha = min(lambda1(h_alpha), lambda2(h_alpha))."""
     lambda1._check_same_rank(lambda2)
     for w in (lambda1, lambda2):
         if not w.is_dominant:
             raise ValueError(f"bounds_from_pair requires dominant weights, got {w}")
-    vals = tuple(
-        min(pairing(lambda1, r), pairing(lambda2, r)) for r in positive_roots(lambda1.n)
-    )
+    vals = tuple(map(min, _root_pairings(lambda1), _root_pairings(lambda2)))
     return BoundVector(lambda1.n, vals)
 
 
@@ -170,7 +176,7 @@ def bounds_from_weight(weight: Weight) -> BoundVector:
     """a_alpha = weight(h_alpha) for a single dominant weight."""
     if not weight.is_dominant:
         raise ValueError(f"bounds_from_weight requires a dominant weight, got {weight}")
-    return BoundVector(weight.n, tuple(pairing(weight, r) for r in positive_roots(weight.n)))
+    return BoundVector(weight.n, _root_pairings(weight))
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
@@ -162,7 +162,7 @@ class ExplicitModule:
     Basis vectors are grouped by weight (weights[i] is the weight of basis
     vector i; index 0 is the highest-weight vector, which generates the
     module under the f_k).  The f matrices are stored column-wise:
-    f[k-1][col] is a tuple of (row, Fraction) entries."""
+    f[k-1][col] is a tuple of (row, int or Fraction) entries."""
 
     n: int
     highest: Weight
@@ -201,7 +201,9 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
     V(lam) is the tensor f_k restricted to that span, in that basis.  With
     the exterior power leading the flat index, it gives small integral
     matrices on every module measured, which keeps the integer row
-    reduction of `fusion_graded` cheap.
+    reduction of `fusion_graded` cheap; and since `RationalRowBasis` keeps
+    integral entries as ints, the build itself runs in int arithmetic there,
+    with a Fraction only where a division is inexact.
 
     The top vector v (x) v' is a highest-weight vector of weight lam in a
     finite-dimensional module, so it generates a copy of V(lam), and lam has
@@ -416,7 +418,9 @@ def fusion_graded(
     m1: ExplicitModule, c1, m2: ExplicitModule, c2
 ) -> GradedDecomposition:
     """Graded decomposition of the fusion product of m1 and m2 placed at the
-    distinct evaluation points c1 and c2 (exact rationals).
+    distinct evaluation points c1 and c2, exact rationals (any
+    numbers.Rational, such as int or Fraction; anything else raises
+    ValueError).
 
     The result does not depend on the points.  On V1 (x) V2, f_k (x) t acts
     as c1 (f_k (x) 1) + c2 (1 (x) f_k) = c1 f_k + (c2 - c1)(1 (x) f_k), and
@@ -430,8 +434,9 @@ def fusion_graded(
       fix its character, and all of them lie within the reach;
     - F_s(mu) reads only F_s and F_{s-1} at mu + alpha_k, of smaller
       height, so a visited weight gets the same rows as in a full pass."""
-    c1 = Fraction(c1)
-    c2 = Fraction(c2)
+    for c in (c1, c2):
+        if not isinstance(c, numbers.Rational):
+            raise ValueError(f"evaluation points must be exact rationals, got {c!r}")
     if c1 == c2:
         raise ValueError(f"evaluation points must be distinct, got {c1} = {c2}")
     if m1.n != m2.n:

@@ -308,13 +308,17 @@ def root_coordinates(weight: Weight) -> tuple[Fraction, ...]:
 
 
 def root_lattice_height(weight: Weight) -> int:
-    """Sum of simple-root coefficients; the weight must lie in the root lattice."""
-    total = Fraction(0)
-    for c in root_coordinates(weight):
-        if c.denominator != 1:
-            raise ValueError(f"{weight} is not in the root lattice")
-        total += c
-    return int(total)
+    """Sum of simple-root coefficients; the weight must lie in the root lattice.
+
+    Computed in integers: c_k = pref_k - k * total / n (see
+    `root_coordinates`), all integral iff n divides total, and their sum is
+    the sum of the prefix sums minus (total / n) * n(n-1)/2."""
+    n = weight.n
+    parts = weight.to_parts()
+    q, r = divmod(sum(parts), n)
+    if r:
+        raise ValueError(f"{weight} is not in the root lattice")
+    return sum(itertools.accumulate(parts[:-1])) - q * n * (n - 1) // 2
 
 
 # ---------------------------------------------------------------------------

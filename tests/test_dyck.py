@@ -12,6 +12,7 @@ from slnfusion.dyck import (
     BoundVector,
     DyckPath,
     LatticePoint,
+    _root_pairings,
     bounds_from_pair,
     bounds_from_weight,
     dominant_points,
@@ -25,6 +26,7 @@ from slnfusion.typea import (
     Root,
     Weight,
     _dominant_parts_below,
+    pairing,
     positive_root_index,
     positive_roots,
     root_as_weight,
@@ -307,6 +309,13 @@ def test_bounds_from_pair_frozen():
 def test_bounds_from_weight_is_pairing_vector():
     lam = Weight(3, (2, 1))
     assert bounds_from_weight(lam).values == (2, 3, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_root_pairings_match_pairing(n):
+    for coords in itertools.product(range(-3, 4), repeat=n - 1):
+        w = Weight(n, coords)
+        assert _root_pairings(w) == tuple(pairing(w, r) for r in positive_roots(n))
 
 
 def test_lattice_point_basics():

@@ -305,6 +305,14 @@ def test_fusion_graded_validation():
         fusion_graded(m1, 0, build_irrep(Weight(3, (1, 0))), 1)
 
 
+@pytest.mark.parametrize("bad", ["1/2", " 3 ", None, 0.5])
+def test_fusion_graded_points_must_be_rationals(bad):
+    m = build_irrep(Weight(2, (1,)))
+    for c1, c2 in ((bad, 1), (0, bad)):
+        with pytest.raises(ValueError, match="exact rationals"):
+            fusion_graded(m, c1, m, c2)
+
+
 def test_fusion_graded_rational_points():
     g1 = fusion_graded(
         build_irrep(Weight(3, (1, 1))),

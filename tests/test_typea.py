@@ -293,6 +293,23 @@ def test_root_lattice_height():
     assert root_lattice_height(lam - lam) == 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_root_lattice_height_is_sum_of_root_coordinates(n):
+    verdicts = set()
+    for coords in itertools.product(range(-3, 4), repeat=n - 1):
+        w = Weight(n, coords)
+        rc = root_coordinates(w)
+        integral = all(c.denominator == 1 for c in rc)
+        verdicts.add(integral)
+        if integral:
+            height = root_lattice_height(w)
+            assert type(height) is int and height == sum(rc)
+        else:
+            with pytest.raises(ValueError, match="not in the root lattice"):
+                root_lattice_height(w)
+    assert verdicts == {True, False}
+
+
 def test_weight_multiplicities_sl2_strings():
     for m in range(7):
         diagram = weight_multiplicities(Weight(2, (m,)))
