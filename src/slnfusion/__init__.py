@@ -58,8 +58,29 @@ from .poset import (
     weyl_character_prediction,
 )
 from .suite import CheckResult, run_all
+from . import fusion, tensor, typea
 
 __version__ = "0.1.0"
+
+
+def cache_info() -> dict[str, dict[str, int]]:
+    """Hits, misses and current size of each weight-keyed cache, by the name
+    of the cached function.  The caches are unbounded and live for the
+    process; this reads them and changes nothing."""
+    caches = (
+        fusion._build_irrep,
+        tensor._lr_cached,
+        typea._orbit_parts,
+        typea._orbit_cached,
+        typea._weyl_dim_parts,
+        typea._dominant_mults_by_parts,
+    )
+    return {
+        f.__name__: {"hits": i.hits, "misses": i.misses, "currsize": i.currsize}
+        for f in caches
+        for i in (f.cache_info(),)
+    }
+
 
 __all__ = [
     "BoundVector",
@@ -79,6 +100,7 @@ __all__ = [
     "bounds_from_pair",
     "bounds_from_weight",
     "build_irrep",
+    "cache_info",
     "dominant_points",
     "dominant_weight_multiplicities",
     "dyck_paths",

@@ -8,8 +8,9 @@ the k-subsets of {1..n} as basis; V(lambda - omega_k) comes from the same
 construction.  As a module over n^-, V(lambda) is
 U(n^-) / sum_k U(n^-) f_k^{lambda_k + 1}, generated by its top vector, and
 the filtration below reads only that structure and the weights, so e_k and
-h_k are never built.  `_tensor_columns` is the one action x (x) 1 + 1 (x) x
-of a generator on a two-factor tensor product.  `fusion_graded` then
+h_k are never built.  `_tensor_action` is the one action x (x) 1 + 1 (x) x
+of a generator on a two-factor tensor product, read from the columns of x
+on the two factors, so no matrix of the product is built.  `fusion_graded` then
 filters V(lambda1) (x) V(lambda2), viewed as a two-point evaluation module
 over the current algebra at distinct points c1 and c2, by polynomial
 degree.  v1 (x) v2 generates it under U(n^-[t]) and t^2 acts through t
@@ -24,14 +25,17 @@ The pass stops at the dominant reach, the largest height of a dominant
 tensor weight.  Each F_s is an sl_n-submodule (sl_n (x) 1 has degree 0), so
 F_s / F_{s-1} is fixed by its dominant weight spaces; and F_s(mu) reads only
 the weights mu + alpha_k, of smaller height, so every weight the pass visits
-gets the rows it would get in a pass over all weights.  The rows each degree
+gets the rows it would get in a pass over all weights.  For the same two
+reasons a weight mu that is not dominant stops at the dimension that the
+dominant weight mu+ of its orbit already has: dim F_s(mu) = dim F_s(mu+),
+and mu+ has smaller height, so the pass has finished it.  The rows each degree
 adds at the dominant weights, spread over their Weyl orbits, form the
 character of F_s / F_{s-1}; `peel_character` decomposes it into
 irreducibles, giving the graded decomposition.
 
 Every step of the filtration is a weight-space-local row reduction in plain
 integers (the lowering operators are scaled to integer matrices once), which
-is what keeps near-10^4-dimensional tensor products tractable here.
+is what keeps tensor products of a few 10^4 dimensions to seconds here.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -84,57 +89,56 @@ class DimensionCapError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _apply(cols, vec: Mapping) -> dict:
-    """Image of a sparse vector under a matrix stored column-wise: cols[i]
-    lists the (row, value) entries of column i.  Zero entries are dropped."""
+def _tensor_action(cols1, cols2, vec: Mapping) -> dict:
+    """Image of a sparse vector of V1 (x) V2 (flat index a * d2 + b, d2 =
+    len(cols2)) under x (x) 1 + 1 (x) x, read from the columns of x on V1
+    and on V2: cols[i] lists the (row, value) entries of column i.  Empty
+    columns for V1 give 1 (x) x alone.  Zero entries are dropped."""
+    d2 = len(cols2)
     out: dict = {}
     for i, v in vec.items():
-        for r, c in cols[i]:
-            out[r] = out.get(r, 0) + c * v
-    return {r: c for r, c in out.items() if c}
+        a, b = divmod(i, d2)
+        for r, c in cols1[a]:
+            j = r * d2 + b
+            out[j] = out.get(j, 0) + c * v
+        for r, c in cols2[b]:
+            j = a * d2 + r
+            out[j] = out.get(j, 0) + c * v
+    return {j: c for j, c in out.items() if c}
 
 
-def _lowering_pass(order, dims, spaces, maps, rows, prev_rows) -> None:
-    """One pass down the weights: for each mu in `order` (by height, so
-    every mu + alpha_k comes before mu), insert into spaces[mu] the images
-    f_k rows[mu + alpha_k] and t_k prev_rows[mu + alpha_k], for each
-    (alpha_k, f_k, t_k) in `maps`, until it has dimension dims[mu].  The
-    rows it stores are appended to rows[mu].  Row lists of weights already
-    passed are complete, so rows that a later insert at their own weight
-    reduces in place still span what was inserted there."""
-    for mu in order:
+def _lowering_pass(steps, dims, tops, spaces, rows, prev_rows) -> None:
+    """One pass down the weights: for each (mu, sources) in `steps` (by
+    height, so every source weight nu = mu + alpha_k comes before mu),
+    insert into spaces[mu] the images f rows[nu] and t prev_rows[nu] under
+    `_tensor_action`, for each (nu, f, t) in sources (f and t are its
+    (cols1, cols2) pairs), until spaces[mu] reaches its target dimension.
+    The target is dims[mu], or, for mu in `tops`, the dimension that
+    spaces[tops[mu]] has at that point: tops[mu] comes earlier in `steps`,
+    and the caller knows that dim spaces[mu] ends equal to it (see
+    `fusion_graded`), so every insert the stop skips would be rejected.
+    The rows it stores are appended to rows[mu].  Row lists of weights
+    already passed are complete, so rows that a later insert at their own
+    weight reduces in place still span what was inserted there."""
+    for mu, sources in steps:
         span = spaces[mu]
-        if span.dimension == dims[mu]:
+        top = tops.get(mu)
+        target = dims[mu] if top is None else spaces[top].dimension
+        if span.dimension == target:
             continue
         fresh = rows.setdefault(mu, [])
         images = (
-            _apply(cols, row)
-            for alpha, f_cols, t_cols in maps
-            for cols, src in (
-                (f_cols, rows.get(mu + alpha, ())),
-                (t_cols, prev_rows.get(mu + alpha, ())),
-            )
+            _tensor_action(*x, row)
+            for nu, f, t in sources
+            for x, src in ((f, rows.get(nu, ())), (t, prev_rows.get(nu, ())))
             for row in src
         )
         for img in images:
             stored = span.insert(img)
             if stored is not None:
                 fresh.append(stored)
-                if span.dimension == dims[mu]:
+                if span.dimension == target:
                     break
-
-
-def _tensor_columns(cols1, cols2, pairs) -> dict:
-    """Columns of x (x) 1 + 1 (x) x on V1 (x) V2 (flat index a * d2 + b)
-    from the columns of x on V1 and on V2, keyed by flat index, for the
-    index pairs (a, b) in `pairs` alone; empty columns for V1 give
-    1 (x) x alone."""
-    d2 = len(cols2)
-    return {
-        a * d2 + b: [(r * d2 + b, c) for r, c in cols1[a]]
-        + [(a * d2 + r, c) for r, c in cols2[b]]
-        for a, b in pairs
-    }
 
 
 def _exterior_power(n: int, k: int):
@@ -215,11 +219,9 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
     if nonzero:
         k = nonzero[-1]
         rest = _build_irrep(lam - Weight.fundamental(n, k))
-        ext = _exterior_power(n, k)
-        pairs = list(itertools.product(range(len(ext[0])), range(rest.dim)))
-        f_cols = [_tensor_columns(ext[a], rest.f[a], pairs) for a in range(n - 1)]
+        actions = list(zip(_exterior_power(n, k), rest.f))
     else:
-        f_cols = [[()]] * (n - 1)
+        actions = [([()], [()])] * (n - 1)
     alphas = [simple_root_weight(n, k) for k in range(1, n)]
 
     dims = weight_multiplicities(lam)
@@ -228,8 +230,12 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
     )
     spaces = {w: RationalRowBasis() for w in order}
     rows = {lam: [spaces[lam].insert({0: 1})]}
-    maps = [(alphas[k - 1], f_cols[k - 1], ()) for k in range(1, n)]
-    _lowering_pass(order, dims, spaces, maps, rows, {})
+    # degree 0 alone: there are no previous rows for a t to act on
+    steps = [
+        (mu, [(mu + alpha, x, None) for alpha, x in zip(alphas, actions)])
+        for mu in order
+    ]
+    _lowering_pass(steps, dims, {}, spaces, rows, {})
 
     dim = weyl_dim(lam)
     total = sum(sp.dimension for sp in spaces.values())
@@ -248,10 +254,10 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
     if weights[0] != lam:
         raise AssertionError("highest-weight vector is not basis vector 0")
 
-    def matrix(cols, alpha: Weight):
+    def matrix(x, alpha: Weight):
         out = []
         for w, p in flat:
-            img = _apply(cols, spaces[w].row(p))
+            img = _tensor_action(*x, spaces[w].row(p))
             if not img:
                 out.append(())
                 continue
@@ -263,7 +269,7 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
             out.append(tuple(sorted((gidx[(tw, q)], c) for q, c in coords.items())))
         return tuple(out)
 
-    f = tuple(matrix(f_cols[k - 1], alphas[k - 1]) for k in range(1, n))
+    f = tuple(matrix(x, alpha) for x, alpha in zip(actions, alphas))
     return ExplicitModule(n=n, highest=lam, weights=weights, f=f)
 
 
@@ -386,19 +392,10 @@ class GradedDecomposition:
         }
 
 
-def _indices_by_weight(m: ExplicitModule) -> dict[Weight, list[int]]:
-    """The basis indices of m grouped by weight, weights in basis order."""
-    out: dict[Weight, list[int]] = {}
-    for i, w in enumerate(m.weights):
-        out.setdefault(w, []).append(i)
-    return out
-
-
-def _lowering_maps(m1: ExplicitModule, m2: ExplicitModule, pairs):
-    """For each k: alpha_k and plain-int column maps of f_k and 1 (x) f_k on
-    m1 (x) m2 (flat index a * m2.dim + b), built at the index pairs (a, b)
-    of `pairs` alone.  Both are scaled by the lcm of the denominators of f_k
-    on m1 and m2, so spans are unchanged."""
+def _lowering_maps(m1: ExplicitModule, m2: ExplicitModule):
+    """For each k: alpha_k and the `_tensor_action` pairs of f_k and of
+    1 (x) f_k on m1 (x) m2, in plain-int columns of f_k on m1 and m2 scaled
+    by the lcm of their denominators, so spans are unchanged."""
     maps = []
     for k in range(1, m1.n):
         scale = math.lcm(
@@ -406,11 +403,7 @@ def _lowering_maps(m1: ExplicitModule, m2: ExplicitModule, pairs):
         )
         f1 = [[(r, int(c * scale)) for r, c in col] for col in m1.f[k - 1]]
         f2 = [[(r, int(c * scale)) for r, c in col] for col in m2.f[k - 1]]
-        maps.append((
-            simple_root_weight(m1.n, k),
-            _tensor_columns(f1, f2, pairs),
-            _tensor_columns([()] * m1.dim, f2, pairs),
-        ))
+        maps.append((simple_root_weight(m1.n, k), (f1, f2), ([()] * m1.dim, f2)))
     return maps
 
 
@@ -429,11 +422,19 @@ def fusion_graded(
     The filtration is therefore built with 1 (x) f_k in place of f_k (x) t.
 
     Only the weights mu with height(top - mu) at most the dominant reach are
-    visited, and only the dominant part of each degree is peeled:
+    visited, only the dominant part of each degree is peeled, and a weight
+    mu that is not dominant stops inserting once its span reaches the
+    dimension of F_s(mu+), mu+ the dominant weight of its orbit:
     - each F_s is sl_n-stable, so the dominant weights of F_s / F_{s-1}
       fix its character, and all of them lie within the reach;
     - F_s(mu) reads only F_s and F_{s-1} at mu + alpha_k, of smaller
-      height, so a visited weight gets the same rows as in a full pass."""
+      height, so a visited weight gets the same rows as in a full pass;
+    - sl_n-stability also gives dim F_s(mu) = dim F_s(mu+), and mu+ - mu
+      is a nonzero sum of positive roots, so mu+ has smaller height: it is
+      visited, and the same pass has finished it before mu.  Once mu has
+      that dimension it holds all of F_s(mu), and every further insert
+      would be rejected.  Dominant weights still run to their tensor
+      weight dimension, as the pass has no smaller bound for them."""
     for c in (c1, c2):
         if not isinstance(c, numbers.Rational):
             raise ValueError(f"evaluation points must be exact rationals, got {c!r}")
@@ -445,24 +446,27 @@ def fusion_graded(
     full = m1.dim * m2.dim
     top = m1.highest + m2.highest
 
-    # the basis of m1 (x) m2 by weight, one block of index pairs per (w1, w2)
-    blocks: dict[Weight, list[tuple[list[int], list[int]]]] = {}
-    indices2 = _indices_by_weight(m2).items()
-    for w1, block1 in _indices_by_weight(m1).items():
-        for w2, block2 in indices2:
-            blocks.setdefault(w1 + w2, []).append((block1, block2))
-    dims = {w: sum(len(a) * len(b) for a, b in bl) for w, bl in blocks.items()}
+    dims: dict[Weight, int] = {}
+    weights2 = Counter(m2.weights).items()
+    for w1, d1 in Counter(m1.weights).items():
+        for w2, d2 in weights2:
+            dims[w1 + w2] = dims.get(w1 + w2, 0) + d1 * d2
     height = {w: root_lattice_height(top - w) for w in dims}
     reach = max(h for w, h in height.items() if w.is_dominant)
     order = sorted((w for w in dims if height[w] <= reach), key=height.__getitem__)
     spaces = {w: IntegerRowSpan() for w in order}
-    # a row of weight mu is supported on the basis vectors of weight mu, and
-    # the pass reads rows of visited weights alone, so it needs their columns
-    maps = _lowering_maps(
-        m1,
-        m2,
-        [pair for w in order for a, b in blocks[w] for pair in itertools.product(a, b)],
-    )
+    maps = _lowering_maps(m1, m2)
+    steps = [
+        (mu, [(mu + alpha, f, t) for alpha, f, t in maps if mu + alpha in spaces])
+        for mu in order
+    ]
+    # each non-dominant weight stops at the dimension of the dominant weight
+    # of its orbit (see the docstring)
+    tops = {
+        mu: Weight.from_parts(n, sorted(mu.to_parts(), reverse=True))
+        for mu in order
+        if not mu.is_dominant
+    }
 
     # Rows added in degrees s-1 and s, by weight.  A row gets f_k in the
     # degree it was added and 1 (x) f_k in the next one: f_k F_{s-1} and
@@ -473,7 +477,7 @@ def fusion_graded(
     total = 0
     degree = 0
     while total < full:
-        _lowering_pass(order, dims, spaces, maps, new_rows, prev_rows)
+        _lowering_pass(steps, dims, tops, spaces, new_rows, prev_rows)
         # the rows added to mu in this degree s span F_s(mu) modulo F_{s-1}(mu);
         # each dominant count holds on the whole orbit of mu
         char = {

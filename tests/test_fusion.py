@@ -10,11 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from slnfusion import cache_info
 from slnfusion.cases import _dominant_range
 from slnfusion.fusion import (
     DEFAULT_DIM_CAP,
     DimensionCapError,
     GradedDecomposition,
+    _tensor_action,
     build_irrep,
     fusion_graded,
     peel_character,
@@ -122,6 +124,26 @@ def test_build_irrep_validation():
     assert exc.value.dim == 125
     assert exc.value.cap == 100
     assert str(exc.value) == "V(4,4) has dimension 125, above the construction cap 100"
+
+
+def test_cache_info_counts_a_repeated_build():
+    lam = Weight(3, (2, 1))
+    build_irrep(lam)
+    before = cache_info()
+    assert set(before) == {
+        "_build_irrep",
+        "_lr_cached",
+        "_orbit_parts",
+        "_orbit_cached",
+        "_weyl_dim_parts",
+        "_dominant_mults_by_parts",
+    }
+    build_irrep(lam)
+    after = cache_info()
+    assert after["_build_irrep"] == {
+        **before["_build_irrep"],
+        "hits": before["_build_irrep"]["hits"] + 1,
+    }
 
 
 def test_build_irrep_one_cache_key():
@@ -419,6 +441,39 @@ def _tensor_lowering(m1, m2, k, x1, x2, vec):
     return {i: c for i, c in out.items() if c}
 
 
+SAME_RANK_PAIRS = [
+    (lam1, lam2) for lam1 in SAMPLE_MODULES for lam2 in SAMPLE_MODULES if lam1.n == lam2.n
+]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    pair=st.sampled_from(SAME_RANK_PAIRS),
+    rescale=st.tuples(st.booleans(), st.booleans()),
+    data=st.data(),
+)
+def test_tensor_action_matches_factorwise_lowering(pair, rescale, data):
+    # f_k (x) 1 + 1 (x) f_k and 1 (x) f_k read from the factors' columns,
+    # against the one-factor-at-a-time reference; a rescaled factor brings
+    # Fraction entries
+    m1, m2 = (
+        rescaled(build_irrep(lam)) if r else build_irrep(lam)
+        for lam, r in zip(pair, rescale)
+    )
+    k = data.draw(st.integers(1, m1.n - 1))
+    entries = st.integers(-3, 3).filter(bool) | st.fractions(
+        min_value=-3, max_value=3, max_denominator=5
+    ).filter(bool)
+    vec = data.draw(
+        st.dictionaries(st.integers(0, m1.dim * m2.dim - 1), entries, max_size=6)
+    )
+    f1, f2 = m1.f[k - 1], m2.f[k - 1]
+    assert _tensor_action(f1, f2, vec) == _tensor_lowering(m1, m2, k, 1, 1, vec)
+    assert _tensor_action([()] * m1.dim, f2, vec) == _tensor_lowering(
+        m1, m2, k, 0, 1, vec
+    )
+
+
 def reference_degree_characters(m1, c1, m2, c2):
     """Characters of F_s / F_{s-1} from the definition, in Fraction
     arithmetic: F_0 = U(n^-)(v1 (x) v2) and F_s = U(n^-)(F_{s-1} + sum_k
@@ -503,6 +558,33 @@ def test_fusion_sweep_entries_pinned():
     assert digest.hexdigest() == (
         "463e794dff853f1087c0028e1f58ef1990e1d3b1d2553c3e1eec84e1417c194b"
     )
+
+
+@pytest.mark.parametrize(
+    "lam1, lam2, cap, expected",
+    [
+        (
+            Weight(3, (4, 4)),
+            Weight(3, (4, 4)),
+            DEFAULT_DIM_CAP,
+            "41bb8e42e32aed2d9e10496601f6b33e193adc9c876d07aabb1743204b2f1d0f",
+        ),
+        (
+            Weight(5, (1, 1, 1, 1)),
+            Weight(5, (1, 0, 0, 1)),
+            1024,
+            "f1409736e8e283ac98d5260b6e554cc56712854c4b6a6ce93a39378987ce3829",
+        ),
+    ],
+    ids=["sl3-(4,4)x(4,4)", "sl5-(1,1,1,1)x(1,0,0,1)"],
+)
+def test_fusion_frontier_entries_pinned(lam1, lam2, cap, expected):
+    # 15,625 and 24,576 dimensions: the pairs where most non-dominant weights
+    # stop at their orbit's dimension before their tensor weight dimension
+    g = fusion_graded(build_irrep(lam1, cap), 0, build_irrep(lam2, cap), 1)
+    assert g.dimension() == weyl_dim(lam1) * weyl_dim(lam2)
+    digest = hashlib.sha256(repr(sorted_entries(g)).encode()).hexdigest()
+    assert digest == expected
 
 
 def test_fusion_sl4_frozen():
