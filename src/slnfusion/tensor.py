@@ -7,11 +7,11 @@ singular points (repeated epsilon-parts), and fold regular points back into
 the dominant chamber with the sign of the sorting permutation.  The diagram
 is read from `typea`'s cached Weyl orbits (one per dominant weight).  A
 shifted point is singular when its parts repeat; a regular point's
-inversions are counted only if sorting moves it.  Everything stays in plain
-integer tuples, the final multiplicities are checked nonnegative, and the
-constituents are emitted in report order, so the map needs no second sort.
-`schur_positive` compares two such decompositions of one total weight by
-multiset containment.
+inversions are counted only if sorting moves it.  `_lr_cached`, the one LR
+cache, holds per pair the checked fold in plain ints: each constituent's
+sorted shifted parts with its positive multiplicity.  `lr_coefficients`
+builds a fresh DecompositionMap from it on every call, in report order;
+`schur_positive` compares two folds of one total by multiset containment.
 """
 
 from __future__ import annotations
@@ -104,13 +104,13 @@ class DecompositionMap:
         return sum(m * _weyl_dim_parts(w.to_parts()) for w, m in self._entries.items())
 
 
-def _klimyk(lambda1: Weight, lambda2: Weight) -> dict[Weight, int]:
+def _klimyk(lambda1: Weight, lambda2: Weight) -> dict[tuple[int, ...], int]:
     """Reflection-rule decomposition walking the diagram of the second
-    factor, with its constituents already in report order."""
+    factor: each constituent tau keyed by the sorted parts of lambda1 + rho
+    + nu that fold to it (tau + rho, shifted by a constant), with its
+    nonzero multiplicity."""
     n = lambda1.n
     shift = [p + n - 1 - k for k, p in enumerate(lambda1.to_parts())]  # lambda1 + rho
-    # Keyed by the sorted shifted parts; all share one total, so the key
-    # determines the constituent.
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
     for q, mult in _dominant_mults_by_parts(n, lambda2.to_parts()).items():
@@ -125,41 +125,39 @@ def _klimyk(lambda1: Weight, lambda2: Weight) -> dict[Weight, int]:
                 sign = -mult
             key = tuple(key)
             acc[key] = get(key, 0) + sign
-    out: dict[Weight, int] = {}
-    # A constituent's parts are `key - key[-1] - rho`, and rho is the same for
-    # every key, so sorting by `key - key[-1]` sorts by parts: report order.
-    for key in sorted(acc, key=lambda k: [x - k[-1] for x in k], reverse=True):
-        mult = acc[key]
-        if mult == 0:
-            continue
-        if mult < 0:
-            raise AssertionError("reflection rule produced a negative multiplicity")
-        # key is strictly decreasing, so each coordinate is a nonnegative int
-        out[_weight(n, tuple(key[i] - key[i + 1] - 1 for i in range(n - 1)))] = mult
-    return out
+    if min(acc.values()) < 0:
+        raise AssertionError("reflection rule produced a negative multiplicity")
+    return {key: mult for key, mult in acc.items() if mult}
 
 
 @lru_cache(maxsize=None)
-def _lr_cached(lambda1: Weight, lambda2: Weight) -> DecompositionMap:
+def _lr_cached(lambda1: Weight, lambda2: Weight) -> dict[tuple[int, ...], int]:
+    # A pair that fails these checks raises and is never cached, so they run
+    # once per pair.
+    lambda1._check_same_rank(lambda2)
+    for w in (lambda1, lambda2):
+        if not w.is_dominant:
+            raise ValueError(f"tensor factors must be dominant, got {w}")
     # Walk the diagram of the factor with the smaller module dimension.
     if weyl_dim(lambda2) > weyl_dim(lambda1):
         lambda1, lambda2 = lambda2, lambda1
-    # `_klimyk` returns positive multiplicities of dominant weights in report
-    # order, which is all that `DecompositionMap.__init__` would check and sort.
-    out = object.__new__(DecompositionMap)
-    out.n = lambda1.n
-    out._entries = _klimyk(lambda1, lambda2)
-    return out
+    return _klimyk(lambda1, lambda2)
 
 
 def lr_coefficients(lambda1: Weight, lambda2: Weight) -> DecompositionMap:
     """Multiplicities of every irreducible constituent of
     V(lambda1) (x) V(lambda2), as a DecompositionMap."""
-    lambda1._check_same_rank(lambda2)
-    for w in (lambda1, lambda2):
-        if not w.is_dominant:
-            raise ValueError(f"tensor factors must be dominant, got {w}")
-    return _lr_cached(lambda1, lambda2)
+    raw = _lr_cached(lambda1, lambda2)
+    # A constituent's parts are `key - key[-1] - rho`, so sorting by
+    # `key - key[-1]` sorts by parts: report order.  Each key is strictly
+    # decreasing, so each coordinate is a nonnegative int.
+    out = object.__new__(DecompositionMap)
+    out.n = n = lambda1.n
+    out._entries = {
+        _weight(n, tuple(a - b - 1 for a, b in zip(key, key[1:]))): raw[key]
+        for key in sorted(raw, key=lambda k: [x - k[-1] for x in k], reverse=True)
+    }
+    return out
 
 
 def schur_positive(
@@ -173,12 +171,14 @@ def schur_positive(
     at a key found only in lr(pair_high) the difference is that map's
     multiplicity, which is positive, so a negative difference can only sit
     at a key w of lr(pair_low), where it is lr(pair_high)[w] -
-    lr(pair_low)[w]."""
+    lr(pair_low)[w].  The cached folds are compared key by key: a key's
+    parts sum to |lambda1| + |lambda2| + |rho|, which depends only on
+    lambda1 + lambda2, so pairs of one total share one set of keys."""
     h1, h2 = pair_high
     l1, l2 = pair_low
     if h1 + h2 != l1 + l2:
         raise ValueError(
             f"pairs must share the same total weight, got {h1 + h2} vs {l1 + l2}"
         )
-    high = lr_coefficients(h1, h2)._entries.get
-    return all(high(w, 0) >= m for w, m in lr_coefficients(l1, l2)._entries.items())
+    high = _lr_cached(h1, h2).get
+    return all(high(key, 0) >= m for key, m in _lr_cached(l1, l2).items())

@@ -50,7 +50,7 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank must be an integer >= 2, got {n!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """Integral sl_n weight in fundamental-weight coordinates."""
 
@@ -156,8 +156,8 @@ def _weight(n: int, coords: tuple[int, ...]) -> Weight:
     """`Weight(n, coords)` without `__post_init__`, for n - 1 ints that it
     would store unchanged.  `+`, `-`, unary `-` and `*` combine checked
     weights of one rank (and an int factor); `from_parts` checks the rank
-    and its n int parts before taking their n - 1 differences; the fold in
-    `tensor._klimyk` takes differences of n sorted int parts."""
+    and its n int parts before taking their n - 1 differences;
+    `tensor.lr_coefficients` takes differences of n sorted int parts."""
     w = _new_object(Weight)
     _set_attr(w, "n", n)
     _set_attr(w, "coords", coords)

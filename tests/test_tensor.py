@@ -1,11 +1,15 @@
 """Tensor decomposition oracle and decomposition-map plumbing."""
 
+import hashlib
 import itertools
+import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slnfusion.cases import is_much_greater, large_case_mults
+from slnfusion.poset import enumerate_pairs
 from slnfusion.tensor import DecompositionMap, _klimyk, lr_coefficients, schur_positive
 from slnfusion.typea import Weight, weight_multiplicities, weyl_dim
 
@@ -137,11 +141,73 @@ def test_schur_positive_frozen():
 
 
 def test_schur_positive_requires_same_total():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         schur_positive(
             (Weight(2, (3,)), Weight(2, (1,))),
             (Weight(2, (3,)), Weight(2, (0,))),
         )
+    assert str(exc.value) == "pairs must share the same total weight, got (4) vs (3)"
+
+
+@pytest.mark.parametrize(
+    "high, low, message",
+    [
+        (
+            (Weight(2, (1,)), Weight(2, (0,))),
+            (Weight(3, (1, 0)), Weight.zero(3)),
+            "pairs must share the same total weight, got (1) vs (1,0)",
+        ),
+        (
+            (Weight(2, (1,)), Weight(3, (1, 0))),
+            (Weight(3, (1, 0)), Weight.zero(3)),
+            "rank mismatch: sl_2 vs sl_3",
+        ),
+        (
+            (Weight(3, (2, -1)), Weight(3, (0, 2))),
+            (Weight(3, (2, 1)), Weight.zero(3)),
+            "tensor factors must be dominant, got (2,-1)",
+        ),
+        (
+            (Weight(3, (2, 1)), Weight.zero(3)),
+            (Weight(3, (3, -1)), Weight(3, (-1, 2))),
+            "tensor factors must be dominant, got (3,-1)",
+        ),
+    ],
+    ids=["total across ranks", "rank", "high not dominant", "low not dominant"],
+)
+def test_schur_positive_error_messages(high, low, message):
+    with pytest.raises(ValueError) as exc:
+        schur_positive(high, low)
+    assert str(exc.value) == message
+
+
+def test_schur_positive_matches_containment_on_every_poset():
+    # every ordered pair of nodes, not only the covers poset_report checks
+    verdicts = Counter()
+    for n, cmax in ((2, 6), (3, 3), (4, 2)):
+        for lam in dominant_weights(n, cmax):
+            nodes = enumerate_pairs(lam)
+            lr = {p: Counter(lr_coefficients(p.first, p.second).entries) for p in nodes}
+            for high in nodes:
+                for low in nodes:
+                    got = schur_positive((high.first, high.second), (low.first, low.second))
+                    assert got is (lr[low] <= lr[high]), (high, low)
+                    verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+    assert sum(verdicts.values()) == 998
+
+
+def test_lr_output_digest():
+    # pins the entries and report order of every lr map on these grids
+    payloads = [
+        json.dumps(lr_coefficients(a, b).to_json())
+        for n, cmax in ((2, 6), (3, 3), (4, 2), (5, 1))
+        for a in dominant_weights(n, cmax)
+        for b in dominant_weights(n, cmax)
+    ]
+    assert len(payloads) == 1290
+    digest = hashlib.sha256("".join(p + "\n" for p in payloads).encode()).hexdigest()
+    assert digest == "57121bc2bc1117f3fbb1ddc7853c00e8eff8a0f7b216e6657ed3e8ce15888483"
 
 
 def weights(n, coord_max):
@@ -170,7 +236,7 @@ def test_lr_symmetric_and_dimension_property(pair):
     )
 )
 def test_lr_report_order_matches_checked_constructor(pair):
-    # the reflection rule emits constituents in report order itself: strictly
+    # lr_coefficients sorts the cached fold into report order itself: strictly
     # descending parts, exactly as the checked constructor sorts them
     a, b = pair
     got = lr_coefficients(a, b)

@@ -1,6 +1,9 @@
 """Weight arithmetic, root bookkeeping, orbits, dimensions, multiplicities."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from slnfusion.tensor import DecompositionMap
 from slnfusion.typea import (
     Root,
     Weight,
+    _weight,
     dominant_weight_multiplicities,
     pairing,
     positive_root_index,
@@ -45,6 +49,19 @@ def test_weight_construction_and_validation():
         Weight(3, (1.0, 0))
     with pytest.raises(ValueError):
         Weight(3, (Fraction(1), 0))
+
+
+def test_weight_is_slotted_and_frozen():
+    w = Weight(3, (2, 1))
+    assert not hasattr(w, "__dict__")
+    for clone in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert clone == w and hash(clone) == hash(w)
+    built = _weight(3, (2, 1))
+    assert built == w and hash(built) == hash(w)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.coords = (0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.n = 4
 
 
 V11 = Weight(3, (1, 1))
