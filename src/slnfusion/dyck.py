@@ -10,12 +10,12 @@ a simple root: every other path lies inside one of them with the same base,
 so its inequality is implied.
 
 The enumerator works on plain exponent tuples.  It splits the coordinates
-at a fixed index per rank into a head and a tail.  A depth-first search in
-root order runs over the head; each head is followed by its table of tails,
-and a tail table depends only on the least remaining slack of each group of
-inequalities with one support on the tail, so one dict per call computes
-each table once (see `lattice_points`).  The tuples come out in
-lexicographic order, and one stable sort by degree gives the (degree,
+at a fixed index per rank into a head and a tail, and one depth-first search
+in root order, `_walk`, runs over each part.  Each head is followed by its
+table of tails, and a tail table depends only on the least remaining slack
+of each group of inequalities with one support on the tail, so one dict per
+call computes each table once (see `lattice_points`).  The tuples come out
+in lexicographic order, and one stable sort by degree gives the (degree,
 exponents) order.  Only then is each tuple wrapped as a `LatticePoint`,
 without running the constructor's checks again: every tuple is valid by
 construction.  Weights of points are summed in integers from the cached
@@ -203,6 +203,8 @@ class LatticePoint:
         _check_rank(n)
         exps = [0] * (n * (n - 1) // 2)
         for i, j, s in triples:
+            if s < 0:
+                raise ValueError("exponents must be nonnegative")
             exps[positive_root_index(Root(n, i, j))] += s
         return cls(n, tuple(exps))
 
@@ -235,28 +237,50 @@ def _root_weight_columns(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*(root_as_weight(r).coords for r in positive_roots(n))))
 
 
+def _walk(touching, slack: list[int], acc: list[int], emit, k: int = 0) -> None:
+    """Depth-first search in lexicographic order over the vectors x >= 0,
+    written into `acc`, whose sum over each inequality's support is at most
+    that inequality's slack.  `touching[k]` lists the inequalities whose
+    support holds coordinate k.  Coordinate k takes each value from 0 to the
+    least slack in `touching[k]` and lowers those slacks for the deeper
+    coordinates; `emit()` runs at each complete vector, with `slack` lowered
+    by all of it.  Every slack is restored on return."""
+    ids = touching[k]
+    ub = min(map(slack.__getitem__, ids))
+    last = k == len(touching) - 1
+    for v in range(ub + 1):
+        acc[k] = v
+        if last:
+            emit()
+        else:
+            _walk(touching, slack, acc, emit, k + 1)
+        for s in ids:
+            slack[s] -= 1
+    for s in ids:
+        slack[s] += ub + 1
+
+
 @lru_cache(maxsize=None)
 def _search_index(n: int) -> tuple:
     """The index `lattice_points` searches sl_n (n >= 3) with, built once per
-    rank.  The coordinates split at m = min(num // 2 + 1, num - 2), num =
-    n(n-1)/2, into a head 0..m-1 of at least one coordinate and a tail
-    m..num-1 of at least two.  It returns
+    rank.  The coordinates split at m = num // 2 + 1, num = n(n-1)/2, into a
+    head 0..m-1 and a tail m..num-1, both nonempty since num >= 3.  It
+    returns
     - the base position of each inequality of `inequalities(n)`;
     - for each head coordinate, the inequalities that touch it;
     - the groups: the inequalities with one nonempty support on the tail, a
       group per support;
-    - for each tail coordinate, the groups that touch it;
-    - the groups of the last coordinate split into those that also touch the
-      one before it and those that touch only the last (neither is empty, by
-      the paths alpha_{n-2} -> alpha_{n-2,n-1} -> alpha_{n-1} and alpha_{n-1}
-      alone, whose supports on the tail differ)."""
+    - for each tail coordinate, the groups that touch it.
+    The head and tail lists are the `touching` of a `_walk`; neither has an
+    empty entry, since alpha_{i,j} lies on the path alpha_i -> ... ->
+    alpha_{i,j} -> ... -> alpha_j."""
     # (coordinate positions, base position) per inequality
     system = [
         (frozenset(map(positive_root_index, p.steps)), positive_root_index(p.base))
         for p in inequalities(n)
     ]
     num = n * (n - 1) // 2
-    split = min(num // 2 + 1, num - 2)
+    split = num // 2 + 1
     head_touching = tuple(
         tuple(s for s, (idxs, _) in enumerate(system) if k in idxs) for k in range(split)
     )
@@ -269,15 +293,11 @@ def _search_index(n: int) -> tuple:
         tuple(g for g, support in enumerate(members) if k in support)
         for k in range(split, num)
     )
-    both = tuple(g for g in tail_touching[-1] if g in tail_touching[-2])
-    only = tuple(g for g in tail_touching[-1] if g not in tail_touching[-2])
     return (
         tuple(base for _, base in system),
         head_touching,
         tuple(map(tuple, members.values())),
         tail_touching,
-        both,
-        only,
     )
 
 
@@ -287,93 +307,51 @@ def lattice_points(bounds: BoundVector) -> list[LatticePoint]:
 
     sl_2 has one coordinate and one inequality x <= a, so its points are
     0..a.  For n >= 3 the coordinates split into a head and a tail (see
-    `_search_index`).  A depth-first search in root order runs over the
-    head: it keeps the remaining slack of each inequality and bounds each
-    coordinate by the least slack among the inequalities that touch it.  At
-    each head it appends the head followed by each point of its tail table.
+    `_search_index`).  A `_walk` over the head keeps the remaining slack of
+    each inequality, and at each head appends the head followed by each
+    point of its tail table.
 
     The tail table of a head is the list of the tail vectors t that complete
     it to a point of the polytope: those whose sum over each inequality's
     support on the tail is at most that inequality's slack after the head.
     Inequalities with the same support on the tail bound the same sum of t,
     so only the least of their slacks matters; those with an empty support
-    there ask only 0 <= slack, which the head search keeps.  So the table
+    there ask only 0 <= slack, which the head walk keeps.  So the table
     depends only on the key, the tuple of least slacks per group, and one
-    dict per call holds each table, computed once per key by the same
-    search over the tail, on the groups and their least slacks.  That
-    search emits the last two coordinates as one block: for value v at the
-    second-to-last, the last runs over 0..min(A - v, B), where A is the
-    least slack among the groups touching both coordinates and B the least
-    among those touching only the last.  Heads come out in lexicographic
-    order and each table in lexicographic order, so the exponent tuples do
-    too, and one stable sort by degree gives the (degree, exponents) order.
+    dict per call holds each table, computed once per key by a `_walk` over
+    the tail, on the groups and their least slacks.  Both walks run in
+    lexicographic order, so the exponent tuples do too, and one stable sort
+    by degree gives the (degree, exponents) order.
 
     The tuples are wrapped as `LatticePoint`s by `_wrap_points`, which skips
     `LatticePoint.__post_init__`: each one already is what that check would
     store.  The rank is `bounds.n`, which `BoundVector` has checked.  Each
     tuple is built by concatenating tuples, one entry per coordinate, so its
     length is n(n-1)/2.  Every entry is an int drawn from a `range(ub + 1)`
-    with ub >= 0: the bounds are nonnegative, the search only takes a value
+    with ub >= 0: the bounds are nonnegative, and a walk only takes a value
     up to the least slack of the inequalities (or groups) it touches, so
-    every slack is nonnegative whenever it goes one coordinate deeper; and
-    A >= v, since A is among the slacks that bound v."""
+    every slack is nonnegative whenever it goes one coordinate deeper."""
     n = bounds.n
     if n == 2:
         out = [(v,) for v in range(bounds.values[0] + 1)]
     else:
-        bases, head_touching, groups, tail_touching, both, only = _search_index(n)
+        bases, head_touching, groups, tail_touching = _search_index(n)
         slack = [bounds.values[base] for base in bases]
-        last = len(head_touching) - 1
-        leaf = len(tail_touching) - 2
-        acc = [0] * (last + 1)
-        tail_acc = [0] * leaf
+        acc = [0] * len(head_touching)
+        tail_acc = [0] * len(tail_touching)
         tables: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         out = []
 
-        def tail(k: int, free: list[int], table: list) -> None:
-            ids = tail_touching[k]
-            ub = min(map(free.__getitem__, ids))
-            if k == leaf:
-                prefix = tuple(tail_acc)
-                a = min(map(free.__getitem__, both))
-                b = min(map(free.__getitem__, only))
-                for v in range(ub + 1):
-                    hv = prefix + (v,)
-                    table.extend([hv + (w,) for w in range(min(a - v, b) + 1)])
-                return
-            for v in range(ub + 1):
-                tail_acc[k] = v
-                tail(k + 1, free, table)
-                for g in ids:
-                    free[g] -= 1
-            for g in ids:
-                free[g] += ub + 1
+        def emit_head() -> None:
+            key = tuple([min(map(slack.__getitem__, g)) for g in groups])
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = []
+                _walk(tail_touching, list(key), tail_acc, lambda: table.append(tuple(tail_acc)))
+            head = tuple(acc)
+            out.extend([head + t for t in table])
 
-        def rec(k: int) -> None:
-            ids = head_touching[k]
-            ub = min(map(slack.__getitem__, ids))
-            for v in range(ub + 1):
-                acc[k] = v
-                if k == last:
-                    key = tuple([min(map(slack.__getitem__, g)) for g in groups])
-                    table = tables.get(key)
-                    if table is None:
-                        table = tables[key] = []
-                        tail(0, list(key), table)
-                    head = tuple(acc)
-                    out.extend([head + t for t in table])
-                else:
-                    rec(k + 1)
-                for s in ids:
-                    slack[s] -= 1
-            for s in ids:
-                slack[s] += ub + 1
-
-        rec(0)
-        # rec and tail hold themselves through their closures; dropping them
-        # here breaks those cycles, so the points are freed as soon as the
-        # caller lets go of them
-        del rec, tail
+        _walk(head_touching, slack, acc, emit_head)
     out.sort(key=sum)
     _wrap_points(n, out)
     return out

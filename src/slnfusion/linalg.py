@@ -15,6 +15,7 @@ Vectors are dicts {coordinate index: value}.  Two flavors:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 __all__ = ["RationalRowBasis", "IntegerRowSpan"]
@@ -112,8 +113,13 @@ class IntegerRowSpan:
         """Reduce vec against the stored rows; if independent, store it
         divided by its content, leading entry positive, and return the stored
         row, else return None.  Only the stored row is gcd-normalized; vec
-        itself is never changed."""
-        work = {k: int(v) for k, v in vec.items() if v}
+        itself is never changed.  Every entry must be an exact integer (it
+        has `__index__`): a float or Fraction raises ValueError rather than
+        being truncated."""
+        try:
+            work = {k: v for k, v in zip(vec, map(operator.index, vec.values())) if v}
+        except TypeError:
+            raise ValueError(f"vector entries must be integers, got {vec!r}") from None
         while work:
             p = min(work)
             row = self._rows.get(p)

@@ -13,6 +13,7 @@ from slnfusion.dyck import (
     DyckPath,
     LatticePoint,
     _root_pairings,
+    _walk,
     bounds_from_pair,
     bounds_from_weight,
     dominant_points,
@@ -216,6 +217,31 @@ def assert_no_garbage_cycle(call):
         gc.enable()
 
 
+@pytest.mark.parametrize(
+    "supports, slack",
+    [
+        # coordinate sets of the inequalities, and their slacks
+        ([{0, 1}, {1, 2}, {2}, {0, 1, 2}], [2, 3, 1, 4]),
+        ([{0}, {0, 1}, {1, 2, 3}, {3}], [3, 0, 2, 1]),
+        ([{0, 1, 2}], [0]),
+    ],
+)
+def test_walk_emits_the_filtered_box_in_lexicographic_order(supports, slack):
+    dim = max(map(max, supports)) + 1
+    touching = [[s for s, sup in enumerate(supports) if k in sup] for k in range(dim)]
+    acc = [0] * dim
+    emitted = []
+    given_slack = list(slack)
+    _walk(touching, slack, acc, lambda: emitted.append(tuple(acc)))
+    box = itertools.product(range(max(slack) + 1), repeat=dim)
+    expected = [
+        x for x in box
+        if all(sum(x[k] for k in sup) <= a for sup, a in zip(supports, slack))
+    ]
+    assert emitted == expected
+    assert slack == given_slack
+
+
 def test_lattice_points_leave_no_garbage_cycle():
     assert_no_garbage_cycle(lambda: lattice_points(BoundVector(4, (2, 2, 2, 2, 2, 2))))
 
@@ -251,6 +277,8 @@ def lattice_points_digest(n, top):
         # sl_6 has the longest tail of the head/tail split, 7 of its 15
         # coordinates
         (6, 1, "5f74d7312424bc0e3345cd7d5f8b11dd1c5983c19786d7cf6fae2fad80bf5f05"),
+        # sl_3 splits its 3 coordinates into a head of 2 and a tail of 1
+        (3, 6, "4dd75ff2e39d725be19a18c0974d775649c2ca194a6cc84ca10d5647385799aa"),
     ],
 )
 def test_lattice_points_pinned_digest(n, top, expected):
@@ -340,6 +368,9 @@ def test_lattice_point_validation():
         LatticePoint(3, (0, -1, 0))
     with pytest.raises(ValueError, match="needs 3 exponents"):
         LatticePoint(3, (1, 1))
+    # a negative exponent is rejected, not netted against a positive one
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        LatticePoint.from_sparse(3, [(1, 1, 2), (1, 1, -1)])
     assert LatticePoint(3, [1, 0, 2]).exps == (1, 0, 2)
 
 

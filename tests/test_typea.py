@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from slnfusion.dyck import BoundVector, LatticePoint
 from slnfusion.fusion import GradedDecomposition, peel_character
+from slnfusion.linalg import IntegerRowSpan
 from slnfusion.tensor import DecompositionMap
 from slnfusion.typea import (
     Root,
@@ -81,6 +82,7 @@ V11 = Weight(3, (1, 1))
         lambda x: peel_character({Weight.zero(3): x}),
         lambda x: Root(3, x, 2),
         lambda x: Root(3, 1, x),
+        lambda x: IntegerRowSpan().insert({0: x, 1: 1}),
     ],
     ids=[
         "Weight",
@@ -94,6 +96,7 @@ V11 = Weight(3, (1, 1))
         "peel_character",
         "Root.i",
         "Root.j",
+        "IntegerRowSpan.insert",
     ],
 )
 @pytest.mark.parametrize("value", [1.9, 0.5, 2.0, Fraction(3, 2), Fraction(2)])
