@@ -276,7 +276,8 @@ def _run(parser: argparse.ArgumentParser, args) -> tuple[object, list[str], int]
             )
             lines.append(f"  degree {s}: {terms}")
         lines.append(f"  total dimension {graded.dimension()}")
-        return graded.to_json(), lines, 0
+        payload = {"n": args.n, "lambda1": lam.to_json(), "lambda2": mu.to_json()}
+        return {**payload, **graded.to_json()}, lines, 0
 
     if args.command == "poset":
         report = poset_report(lam)

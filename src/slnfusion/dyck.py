@@ -203,6 +203,7 @@ class LatticePoint:
         _check_rank(n)
         exps = [0] * (n * (n - 1) // 2)
         for i, j, s in triples:
+            (s,) = exact_ints([s], "exponents")
             if s < 0:
                 raise ValueError("exponents must be nonnegative")
             exps[positive_root_index(Root(n, i, j))] += s

@@ -1,7 +1,8 @@
 """Explicit sl_n modules and graded fusion products of two factors.
 
-`build_irrep` realizes V(lambda) by exact rational matrices of its lowering
-operators f_k alone, as the cyclic span of the top vector inside
+`build_irrep` realizes V(lambda) as an `ExplicitModule`: the weights of its
+basis (the top vector first) and exact rational matrices of its lowering
+operators f_k, nothing else.  It is the cyclic span of the top vector inside
 V(omega_k) (x) V(lambda - omega_k), k the largest index with lambda_k > 0.
 V(omega_k) is the k-th exterior power of the vector representation, with
 the k-subsets of {1..n} as basis; V(lambda - omega_k) comes from the same
@@ -17,7 +18,9 @@ degree.  v1 (x) v2 generates it under U(n^-[t]) and t^2 acts through t
 and 1, so the degree-s piece is
 F_s(mu) = sum_k f_k F_s(mu + alpha_k) + (f_k (x) t) F_{s-1}(mu + alpha_k),
 computed for each degree by one pass down the weights in order of height
-(`_lowering_pass`, which also builds V(lambda) as such a degree 0).
+(`_lowering_pass`, which also builds V(lambda) as such a degree 0).  The
+pass reads a filtration as a list of operators (alpha_k, x, lag): x acts on
+the rows that degree s - lag added at mu + alpha_k.
 Modulo F_{s-1}, f_k (x) t acts on F_{s-1} as a nonzero multiple of
 1 (x) f_k (see `fusion_graded`), so the filtration does not depend on the
 points, and they are only checked to be distinct.
@@ -31,7 +34,7 @@ dominant weight mu+ of its orbit already has: dim F_s(mu) = dim F_s(mu+),
 and mu+ has smaller height, so the pass has finished it.  The rows each degree
 adds at the dominant weights, spread over their Weyl orbits, form the
 character of F_s / F_{s-1}; `peel_character` decomposes it into
-irreducibles, giving the graded decomposition.
+irreducibles, giving the graded decomposition: n and its entries alone.
 
 Every step of the filtration is a weight-space-local row reduction in plain
 integers (the lowering operators are scaled to integer matrices once), which
@@ -107,31 +110,29 @@ def _tensor_action(cols1, cols2, vec: Mapping) -> dict:
     return {j: c for j, c in out.items() if c}
 
 
-def _lowering_pass(steps, dims, tops, spaces, rows, prev_rows) -> None:
-    """One pass down the weights: for each (mu, sources) in `steps` (by
+def _lowering_pass(steps, dims, spaces, rows, prev_rows) -> None:
+    """One pass down the weights: for each (mu, top, sources) in `steps` (by
     height, so every source weight nu = mu + alpha_k comes before mu),
-    insert into spaces[mu] the images f rows[nu] and t prev_rows[nu] under
-    `_tensor_action`, for each (nu, f, t) in sources (f and t are its
-    (cols1, cols2) pairs), until spaces[mu] reaches its target dimension.
-    The target is dims[mu], or, for mu in `tops`, the dimension that
-    spaces[tops[mu]] has at that point: tops[mu] comes earlier in `steps`,
-    and the caller knows that dim spaces[mu] ends equal to it (see
+    insert into spaces[mu] the images x rows[nu] (lag 0) or x prev_rows[nu]
+    (lag 1) under `_tensor_action`, for each (nu, x, lag) in sources (x is a
+    (cols1, cols2) pair), until spaces[mu] reaches its target dimension.
+    The target is dims[mu] when top is None, else the dimension that
+    spaces[top] has at that point: top, the dominant weight of mu's orbit,
+    comes earlier in `steps`, and dim spaces[mu] ends equal to it (see
     `fusion_graded`), so every insert the stop skips would be rejected.
     The rows it stores are appended to rows[mu].  Row lists of weights
     already passed are complete, so rows that a later insert at their own
     weight reduces in place still span what was inserted there."""
-    for mu, sources in steps:
+    for mu, top, sources in steps:
         span = spaces[mu]
-        top = tops.get(mu)
         target = dims[mu] if top is None else spaces[top].dimension
         if span.dimension == target:
             continue
         fresh = rows.setdefault(mu, [])
         images = (
             _tensor_action(*x, row)
-            for nu, f, t in sources
-            for x, src in ((f, rows.get(nu, ())), (t, prev_rows.get(nu, ())))
-            for row in src
+            for nu, x, lag in sources
+            for row in (rows, prev_rows)[lag].get(nu, ())
         )
         for img in images:
             stored = span.insert(img)
@@ -168,10 +169,16 @@ class ExplicitModule:
     module under the f_k).  The f matrices are stored column-wise:
     f[k-1][col] is a tuple of (row, int or Fraction) entries."""
 
-    n: int
-    highest: Weight
     weights: tuple[Weight, ...]
     f: tuple
+
+    @property
+    def highest(self) -> Weight:
+        return self.weights[0]
+
+    @property
+    def n(self) -> int:
+        return self.highest.n
 
     @property
     def dim(self) -> int:
@@ -230,12 +237,12 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
     )
     spaces = {w: RationalRowBasis() for w in order}
     rows = {lam: [spaces[lam].insert({0: 1})]}
-    # degree 0 alone: there are no previous rows for a t to act on
+    # degree 0 alone: each f_k acts at lag 0, on the rows of this pass
     steps = [
-        (mu, [(mu + alpha, x, None) for alpha, x in zip(alphas, actions)])
+        (mu, None, [(mu + alpha, x, 0) for alpha, x in zip(alphas, actions)])
         for mu in order
     ]
-    _lowering_pass(steps, dims, {}, spaces, rows, {})
+    _lowering_pass(steps, dims, spaces, rows, {})
 
     dim = weyl_dim(lam)
     total = sum(sp.dimension for sp in spaces.values())
@@ -244,12 +251,8 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
             f"cyclic span of the top vector has dimension {total}, expected {dim}"
         )
 
-    gidx: dict[tuple[Weight, int], int] = {}
-    flat: list[tuple[Weight, int]] = []
-    for w in order:
-        for p in spaces[w].pivots():
-            gidx[(w, p)] = len(flat)
-            flat.append((w, p))
+    flat = [(w, p) for w in order for p in spaces[w].pivots()]
+    gidx = {wp: i for i, wp in enumerate(flat)}
     weights = tuple(w for w, _ in flat)
     if weights[0] != lam:
         raise AssertionError("highest-weight vector is not basis vector 0")
@@ -270,7 +273,7 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
         return tuple(out)
 
     f = tuple(matrix(x, alpha) for x, alpha in zip(actions, alphas))
-    return ExplicitModule(n=n, highest=lam, weights=weights, f=f)
+    return ExplicitModule(weights=weights, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +344,10 @@ def peel_character(char: Mapping[Weight, int]) -> DecompositionMap:
 
 @dataclass
 class GradedDecomposition:
-    """Graded constituents of a two-factor fusion product: multiplicity of
-    V(tau) in the degree-s slice, keyed by (s, tau)."""
+    """Graded constituents of a filtered module, such as a fusion product:
+    multiplicity of V(tau) in the degree-s slice, keyed by (s, tau)."""
 
     n: int
-    lambda1: Weight
-    lambda2: Weight
     entries: dict[tuple[int, Weight], int]
 
     def __post_init__(self):
@@ -384,8 +385,6 @@ class GradedDecomposition:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "lambda1": self.lambda1.to_json(),
-            "lambda2": self.lambda2.to_json(),
             "slices": [
                 {"degree": s, "terms": dm.to_json()["terms"]} for s, dm in self.slices()
             ],
@@ -393,17 +392,18 @@ class GradedDecomposition:
 
 
 def _lowering_maps(m1: ExplicitModule, m2: ExplicitModule):
-    """For each k: alpha_k and the `_tensor_action` pairs of f_k and of
-    1 (x) f_k on m1 (x) m2, in plain-int columns of f_k on m1 and m2 scaled
-    by the lcm of their denominators, so spans are unchanged."""
+    """The filtration's operators as (alpha_k, x, lag): for each k, the
+    `_tensor_action` pair x of f_k at lag 0 and of 1 (x) f_k at lag 1 on
+    m1 (x) m2, in plain-int columns of f_k on m1 and m2 scaled by the lcm
+    of their denominators, so spans are unchanged."""
     maps = []
     for k in range(1, m1.n):
         scale = math.lcm(
             *(c.denominator for m in (m1, m2) for col in m.f[k - 1] for _, c in col)
         )
-        f1 = [[(r, int(c * scale)) for r, c in col] for col in m1.f[k - 1]]
-        f2 = [[(r, int(c * scale)) for r, c in col] for col in m2.f[k - 1]]
-        maps.append((simple_root_weight(m1.n, k), (f1, f2), ([()] * m1.dim, f2)))
+        f1, f2 = ([[(r, int(c * scale)) for r, c in col] for col in m.f[k - 1]] for m in (m1, m2))
+        alpha = simple_root_weight(m1.n, k)
+        maps += [(alpha, (f1, f2), 0), (alpha, ([()] * m1.dim, f2), 1)]
     return maps
 
 
@@ -456,17 +456,16 @@ def fusion_graded(
     order = sorted((w for w in dims if height[w] <= reach), key=height.__getitem__)
     spaces = {w: IntegerRowSpan() for w in order}
     maps = _lowering_maps(m1, m2)
-    steps = [
-        (mu, [(mu + alpha, f, t) for alpha, f, t in maps if mu + alpha in spaces])
-        for mu in order
-    ]
     # each non-dominant weight stops at the dimension of the dominant weight
     # of its orbit (see the docstring)
-    tops = {
-        mu: Weight.from_parts(n, sorted(mu.to_parts(), reverse=True))
+    steps = [
+        (
+            mu,
+            None if mu.is_dominant else Weight.from_parts(n, sorted(mu.to_parts(), reverse=True)),
+            [(nu, x, lag) for alpha, x, lag in maps if (nu := mu + alpha) in spaces],
+        )
         for mu in order
-        if not mu.is_dominant
-    }
+    ]
 
     # Rows added in degrees s-1 and s, by weight.  A row gets f_k in the
     # degree it was added and 1 (x) f_k in the next one: f_k F_{s-1} and
@@ -477,7 +476,7 @@ def fusion_graded(
     total = 0
     degree = 0
     while total < full:
-        _lowering_pass(steps, dims, tops, spaces, new_rows, prev_rows)
+        _lowering_pass(steps, dims, spaces, new_rows, prev_rows)
         # the rows added to mu in this degree s span F_s(mu) modulo F_{s-1}(mu);
         # each dominant count holds on the whole orbit of mu
         char = {
@@ -496,9 +495,7 @@ def fusion_graded(
         prev_rows, new_rows = new_rows, {}
         degree += 1
 
-    graded = GradedDecomposition(
-        n=n, lambda1=m1.highest, lambda2=m2.highest, entries=entries
-    )
+    graded = GradedDecomposition(n=n, entries=entries)
     if graded.dimension() != full:
         raise AssertionError("graded slices do not add up to the tensor dimension")
     return graded

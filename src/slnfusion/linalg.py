@@ -7,9 +7,9 @@ Vectors are dicts {coordinate index: value}.  Two flavors:
   the span in that basis (needed to extract generator matrices).  Integer
   entries stay Python ints and a Fraction appears only where a division is
   inexact, so the values are those of an all-Fraction reduction;
-* IntegerRowSpan only tracks the dimension of a growing span, fraction-free
-  (gcd-normalized integer rows), which is all the fusion filtration needs
-  and is considerably faster.
+* IntegerRowSpan grows a span fraction-free (gcd-normalized integer rows)
+  and returns each row it stores, which the fusion filtration keeps as the
+  rows of its degree; it needs no coordinates and is considerably faster.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class RationalRowBasis:
 
 
 class IntegerRowSpan:
-    """Growing integer row space; insert() reports whether the span grew."""
+    """Growing integer row space; insert() returns the stored row, or None."""
 
     def __init__(self):
         self._rows: dict[int, dict[int, int]] = {}

@@ -40,9 +40,13 @@ def test_lr_text(capsys):
         (["case", "--tag", "sl2", "--m-max", "2"],
          lambda: [r.to_json() for r in verify_case("sl2", m_max=2)]),
         (["fusion", "--n", "3", "--l", "1,1", "--m", "1,0"],
-         lambda: fusion_graded(
-             build_irrep(Weight(3, (1, 1))), 0, build_irrep(Weight(3, (1, 0))), 1
-         ).to_json()),
+         lambda: {
+             "lambda1": [1, 1],
+             "lambda2": [1, 0],
+             **fusion_graded(
+                 build_irrep(Weight(3, (1, 1))), 0, build_irrep(Weight(3, (1, 0))), 1
+             ).to_json(),
+         }),
         (["poset", "--n", "2", "--l", "4"],
          lambda: poset_report(Weight(2, (4,))).to_json()),
         (["weyl", "--n", "3", "--l", "2,1"],
@@ -132,6 +136,25 @@ def test_closed_stdout_exits_1_without_traceback():
         proc.stdout.close()
         assert proc.stderr.read() == b""
         assert proc.wait(timeout=60) == 1
+
+
+def test_module_entry_point_runs_main(capsys):
+    # `python -m slnfusion` runs the same `main` as the console script
+    env = dict(os.environ, PYTHONPATH=str(Path(slnfusion.__file__).parents[1]))
+    argv = ["lr", "--n", "3", "--l", "1,0", "--m", "0,1"]
+    ok = subprocess.run(
+        [sys.executable, "-m", "slnfusion", *argv], capture_output=True, env=env, text=True
+    )
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout == run(capsys, *argv)[1]
+    usage = subprocess.run(
+        [sys.executable, "-m", "slnfusion", "lr", "--n", "3"],
+        capture_output=True,
+        env=env,
+        text=True,
+    )
+    assert usage.returncode == 2
+    assert usage.stderr.startswith("usage: slnfusion lr ")
 
 
 def test_hw_candidates(capsys):

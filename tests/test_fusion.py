@@ -623,17 +623,15 @@ def test_graded_decomposition_json():
     g = fusion_graded(build_irrep(Weight(3, (1, 1))), 0, build_irrep(Weight(3, (1, 0))), 1)
     payload = g.to_json()
     assert payload["n"] == 3
-    assert payload["lambda1"] == [1, 1]
+    # the factors are not part of the graded result; the CLI adds them
+    assert list(payload) == ["n", "slices"]
     assert payload["slices"][0]["degree"] == 0
 
 
 def test_graded_decomposition_validation():
     with pytest.raises(ValueError):
-        GradedDecomposition(3, Weight(3, (1, 0)), Weight(3, (0, 1)),
-                            {(0, Weight(3, (1, 1))): 0})
+        GradedDecomposition(3, {(0, Weight(3, (1, 1))): 0})
     with pytest.raises(ValueError):
-        GradedDecomposition(3, Weight(3, (1, 0)), Weight(3, (0, 1)),
-                            {(-1, Weight(3, (1, 1))): 1})
+        GradedDecomposition(3, {(-1, Weight(3, (1, 1))): 1})
     with pytest.raises(ValueError):
-        GradedDecomposition(3, Weight(3, (1, 0)), Weight(3, (0, 1)),
-                            {(0, Weight(3, (-1, 1))): 1})
+        GradedDecomposition(3, {(0, Weight(3, (-1, 1))): 1})

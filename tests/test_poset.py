@@ -1,11 +1,11 @@
 """Two-part splitting posets, their cover relations, Weyl predictions."""
 
 import hashlib
-import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slnfusion.cases import _dominant_range
 from slnfusion.dyck import bounds_from_pair
 from slnfusion.poset import (
     WeightPair,
@@ -17,12 +17,6 @@ from slnfusion.poset import (
 )
 from slnfusion.tensor import lr_coefficients, schur_positive
 from slnfusion.typea import Weight, pairing, positive_roots, weyl_dim
-
-
-def dominant_weights(n, coord_max):
-    return [
-        Weight(n, c) for c in itertools.product(range(coord_max + 1), repeat=n - 1)
-    ]
 
 
 def test_weight_pair_canonicalization():
@@ -77,7 +71,7 @@ def test_enumerate_pairs_frozen():
 def test_enumerate_pairs_orbit_count():
     # ordered pairs = prod (m_i + 1); orbits pair up except the halved weight
     for n in (2, 3, 4):
-        for lam in dominant_weights(n, 3):
+        for lam in _dominant_range(n, 3):
             orbits = enumerate_pairs(lam)
             ordered = 1
             for m in lam.coords:
@@ -115,7 +109,7 @@ def test_maximal_pair_frozen():
 
 def test_maximal_pair_dominates_sweep():
     for n in (2, 3, 4):
-        for lam in dominant_weights(n, 2):
+        for lam in _dominant_range(n, 2):
             top = maximal_pair(lam)
             for p in enumerate_pairs(lam):
                 assert order_leq(p, top)
@@ -123,7 +117,7 @@ def test_maximal_pair_dominates_sweep():
 
 def test_maximal_pair_min_vector_is_halved_pairing():
     for n in (2, 3, 4):
-        for lam in dominant_weights(n, 3):
+        for lam in _dominant_range(n, 3):
             top = maximal_pair(lam)
             values = top.min_vector.values
             for root, value in zip(positive_roots(n), values):
@@ -131,7 +125,7 @@ def test_maximal_pair_min_vector_is_halved_pairing():
 
 
 def test_minimum_element():
-    for lam in dominant_weights(3, 2):
+    for lam in _dominant_range(3, 2):
         bottom = WeightPair(lam, Weight.zero(3))
         for p in enumerate_pairs(lam):
             assert order_leq(bottom, p)
@@ -245,13 +239,13 @@ def test_poset_and_weyl_outputs_pinned():
     # sha256 over the JSON of every poset report of sl_3 <= 4 and sl_4 <= 3,
     # and of every Weyl prediction of sl_5 <= 2, in grid order
     reports = hashlib.sha256()
-    for lam in dominant_weights(3, 4) + dominant_weights(4, 3):
+    for lam in _dominant_range(3, 4) + _dominant_range(4, 3):
         reports.update(repr(poset_report(lam).to_json()).encode())
     assert reports.hexdigest() == (
         "9081353957f0fd313d6022c8ebd57df51fbc0058be895f3b74b81111b825d2cc"
     )
     predictions = hashlib.sha256()
-    for lam in dominant_weights(5, 2):
+    for lam in _dominant_range(5, 2):
         predictions.update(repr(weyl_character_prediction(lam).to_json()).encode())
     assert predictions.hexdigest() == (
         "ee446b705f6f65fdb8534bf301581371a741c9c5671115c043a85944887cf621"

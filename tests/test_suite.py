@@ -1,6 +1,7 @@
 """How `run_all` hands its sweep limits to the checks, and what the checks
 catch."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from slnfusion import poset, suite
 from slnfusion.dyck import bounds_from_pair
 from slnfusion.fusion import GradedDecomposition
-from slnfusion.tensor import lr_coefficients
+from slnfusion.tensor import DecompositionMap
 from slnfusion.typea import Weight
+from test_poset import lr_difference_nonnegative
 
 
 def test_run_all_forwards_limits(monkeypatch):
@@ -56,8 +58,6 @@ def test_check_sl2_compares_full_grading(monkeypatch):
         swap = {0: 1, 1: 0}
         return GradedDecomposition(
             n=graded.n,
-            lambda1=graded.lambda1,
-            lambda2=graded.lambda2,
             entries={(swap.get(s, s), tau): m for (s, tau), m in graded.entries.items()},
         )
 
@@ -76,13 +76,6 @@ def test_check_sl2_meets_the_cap():
     assert result.detail == (
         "dimension cap exceeded: V(6) has dimension 7, above the construction cap 6"
     )
-
-
-def lr_difference_nonnegative(pair_high, pair_low):
-    """Schur positivity from its definition: lr(high) - lr(low) has no
-    negative entry over the union of the two maps' keys."""
-    high, low = lr_coefficients(*pair_high), lr_coefficients(*pair_low)
-    return all(high[w] - low[w] >= 0 for w in set(high) | set(low))
 
 
 def schur_reference(n_max, coord_max, positive=lr_difference_nonnegative):
@@ -142,3 +135,102 @@ def test_check_poset_records_a_failing_report(monkeypatch):
         "1 failures: [('report', 3, (1, 1), 'extremal elements are wrong')]"
     )
     assert schur.passed
+
+
+# Each test below breaks one name that `suite` imports and checks that the
+# criterion reading it fails, naming the first failure.
+
+
+def failures_of(result):
+    """The failure count of a failed check and the repr of its first three
+    failures, read from its detail ("<count> failures: [<first>, ...]")."""
+    assert not result.passed
+    count, listed = result.detail.split(" failures: ", 1)
+    return int(count), listed
+
+
+def test_check_ffol_catches_a_missing_point(monkeypatch):
+    real = suite.lattice_points
+    monkeypatch.setattr(suite, "lattice_points", lambda bounds: real(bounds)[:-1])
+    count, listed = failures_of(suite.check_ffol(n_max=3, coord_max=1))
+    # every weight loses one point
+    assert count == 6
+    assert listed.startswith("[(2, (0,), 0, 1), ")
+
+
+def test_check_fusion_catches_a_wrong_oracle(monkeypatch):
+    real = suite.lr_coefficients
+    monkeypatch.setattr(suite, "lr_coefficients", lambda lam1, lam2: real(lam1, lam1))
+    oracle, sandwich = suite.check_fusion()
+    count, listed = failures_of(oracle)
+    # the oracle stays right exactly on the 17 pairs with lam1 = lam2
+    assert count == 76 - 17
+    assert listed.startswith("[((1,), (0,)), ")
+    assert sandwich.passed
+
+
+def test_check_fusion_catches_a_short_sandwich(monkeypatch):
+    monkeypatch.setattr(suite, "dominant_points", lambda lam1, lam2: [])
+    oracle, sandwich = suite.check_fusion()
+    assert oracle.passed
+    count, listed = failures_of(sandwich)
+    # one failure per constituent of each of the 76 fusion collapses
+    assert count == 310
+    assert listed.startswith("[((0,), (0,), (0,)), ")
+
+
+@pytest.mark.parametrize(
+    "flip, first",
+    [
+        ((0, 0), ("reflexive", 3, (2, 2), 0)),
+        ((4, 0), ("antisymmetric", 3, (2, 2), 0, 4)),
+        ((0, 4), ("transitive", 3, (2, 2), 0, 1, 4)),
+        ((0, 1), ("minimum", 3, (2, 2), [])),
+        ((1, 4), ("maximum", 3, (2, 2), [])),
+        # 1 <= 2 keeps a partial order, but the points of node 1 do not lie
+        # among those of node 2
+        ((1, 2), ("point-nesting", 3, (2, 2), 1, 2)),
+    ],
+    ids=["reflexive", "antisymmetric", "transitive", "minimum", "maximum", "point-nesting"],
+)
+def test_check_poset_catches_a_perturbed_order(monkeypatch, flip, first):
+    # the sl_3 poset of (2,2) has node 0 at the bottom, node 4 at the top and
+    # the pairwise incomparable nodes 1, 2, 3 between them; one entry of its
+    # order matrix is negated
+    real = suite.poset_report
+    target = Weight(3, (2, 2))
+
+    def report(lam):
+        found = real(lam)
+        if lam != target:
+            return found
+        leq = [list(row) for row in found.leq]
+        a, b = flip
+        leq[a][b] = not leq[a][b]
+        return dataclasses.replace(found, leq=tuple(map(tuple, leq)))
+
+    assert real(target).leq == (
+        (True, True, True, True, True),
+        (False, True, False, False, True),
+        (False, False, True, False, True),
+        (False, False, False, True, True),
+        (False, False, False, False, True),
+    )
+    monkeypatch.setattr(suite, "poset_report", report)
+    axioms, schur = suite.check_poset(n_max=3, coord_max=2)
+    _, listed = failures_of(axioms)
+    assert listed.startswith(f"[{first!r}")
+    assert schur.passed
+
+
+def test_check_weyl_catches_a_wrong_prediction(monkeypatch):
+    real = suite.weyl_character_prediction
+
+    def empty(lam):
+        return dataclasses.replace(real(lam), character=DecompositionMap(lam.n, {}))
+
+    monkeypatch.setattr(suite, "weyl_character_prediction", empty)
+    count, listed = failures_of(suite.check_weyl(n_max=3, coord_max=1))
+    # all 6 weights lie in a proven regime
+    assert count == 6
+    assert listed.startswith("[(2, (0,)), ")

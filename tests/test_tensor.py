@@ -1,23 +1,16 @@
 """Tensor decomposition oracle and decomposition-map plumbing."""
 
 import hashlib
-import itertools
 import json
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slnfusion.cases import is_much_greater, large_case_mults
+from slnfusion.cases import _dominant_range, is_much_greater, large_case_mults
 from slnfusion.poset import enumerate_pairs
 from slnfusion.tensor import DecompositionMap, _klimyk, lr_coefficients, schur_positive
 from slnfusion.typea import Weight, weight_multiplicities, weyl_dim
-
-
-def dominant_weights(n, coord_max):
-    return [
-        Weight(n, c) for c in itertools.product(range(coord_max + 1), repeat=n - 1)
-    ]
 
 
 def test_map_validation():
@@ -71,7 +64,7 @@ def test_lr_adjoint_squared():
 
 
 def test_lr_with_trivial_factor():
-    for lam in dominant_weights(3, 2):
+    for lam in _dominant_range(3, 2):
         got = lr_coefficients(lam, Weight.zero(3))
         assert got.entries == {lam: 1}
 
@@ -87,7 +80,7 @@ def test_lr_sl2_is_clebsch_gordan():
 
 
 def test_lr_symmetry():
-    weights = dominant_weights(3, 2)
+    weights = _dominant_range(3, 2)
     for a in weights:
         for b in weights:
             assert _klimyk(a, b) == _klimyk(b, a)
@@ -102,24 +95,24 @@ def test_lr_validation():
 
 def test_lr_dimension_identity():
     for n in (2, 3, 4):
-        for a in dominant_weights(n, 2):
-            for b in dominant_weights(n, 2):
+        for a in _dominant_range(n, 2):
+            for b in _dominant_range(n, 2):
                 got = lr_coefficients(a, b)
                 assert got.dimension() == weyl_dim(a) * weyl_dim(b)
 
 
 def test_lr_top_coefficient_is_one():
     for n in (3, 4):
-        for a in dominant_weights(n, 2):
-            for b in dominant_weights(n, 2):
+        for a in _dominant_range(n, 2):
+            for b in _dominant_range(n, 2):
                 assert lr_coefficients(a, b)[a + b] == 1
 
 
 def test_lr_matches_character_convolution():
     # independent oracle: characters multiply, so convolving the two weight
     # diagrams must equal the multiplicity-weighted sum of the constituents'
-    for a in dominant_weights(3, 2):
-        for b in dominant_weights(3, 2):
+    for a in _dominant_range(3, 2):
+        for b in _dominant_range(3, 2):
             conv = {}
             for mu1, k1 in weight_multiplicities(a).items():
                 for mu2, k2 in weight_multiplicities(b).items():
@@ -185,7 +178,7 @@ def test_schur_positive_matches_containment_on_every_poset():
     # every ordered pair of nodes, not only the covers poset_report checks
     verdicts = Counter()
     for n, cmax in ((2, 6), (3, 3), (4, 2)):
-        for lam in dominant_weights(n, cmax):
+        for lam in _dominant_range(n, cmax):
             nodes = enumerate_pairs(lam)
             lr = {p: Counter(lr_coefficients(p.first, p.second).entries) for p in nodes}
             for high in nodes:
@@ -202,8 +195,8 @@ def test_lr_output_digest():
     payloads = [
         json.dumps(lr_coefficients(a, b).to_json())
         for n, cmax in ((2, 6), (3, 3), (4, 2), (5, 1))
-        for a in dominant_weights(n, cmax)
-        for b in dominant_weights(n, cmax)
+        for a in _dominant_range(n, cmax)
+        for b in _dominant_range(n, cmax)
     ]
     assert len(payloads) == 1290
     digest = hashlib.sha256("".join(p + "\n" for p in payloads).encode()).hexdigest()
@@ -340,8 +333,8 @@ def test_lr_matches_tableau_count_on_small_grids():
     pairs = [
         (a, b)
         for n, cmax in ((3, 3), (4, 2), (5, 1))
-        for a in dominant_weights(n, cmax)
-        for b in dominant_weights(n, cmax)
+        for a in _dominant_range(n, cmax)
+        for b in _dominant_range(n, cmax)
     ]
     assert len(pairs) == 1241
     for a, b in pairs:
