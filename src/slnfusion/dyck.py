@@ -35,6 +35,7 @@ from .typea import (
     Root,
     Weight,
     _check_rank,
+    _weight,
     exact_ints,
     positive_root_index,
     positive_roots,
@@ -388,5 +389,5 @@ def dominant_points(
         exps = pt.exps
         tau = [t - sum(map(mul, exps, col)) for t, col in cols]
         if min(tau) >= 0:
-            out.append((pt, Weight(n, tau)))
+            out.append((pt, _weight(n, tuple(tau))))
     return out

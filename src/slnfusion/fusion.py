@@ -39,6 +39,11 @@ irreducibles, giving the graded decomposition: n and its entries alone.
 Every step of the filtration is a weight-space-local row reduction in plain
 integers (the lowering operators are scaled to integer matrices once), which
 is what keeps tensor products of a few 10^4 dimensions to seconds here.
+Both builders key their weight bookkeeping (dimensions, heights, order, row
+spans, steps and rows) by the coordinate tuples `Weight.coords`, which hash
+and compare in C; heights come from `typea._height`.  `Weight` objects
+appear only at the edges: the basis weights of an `ExplicitModule`, the
+character handed to `peel_character` and the graded entries.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 from typing import Mapping
 
 from .linalg import IntegerRowSpan, RationalRowBasis
@@ -56,9 +62,11 @@ from .tensor import DecompositionMap
 from .typea import (
     Weight,
     _check_rank,
+    _height,
+    _parts,
+    _weight,
     dominant_weight_multiplicities,
     exact_ints,
-    root_lattice_height,
     simple_root_weight,
     weight_multiplicities,
     weyl_dim,
@@ -122,7 +130,9 @@ def _lowering_pass(steps, dims, spaces, rows, prev_rows) -> None:
     `fusion_graded`), so every insert the stop skips would be rejected.
     The rows it stores are appended to rows[mu].  Row lists of weights
     already passed are complete, so rows that a later insert at their own
-    weight reduces in place still span what was inserted there."""
+    weight reduces in place still span what was inserted there.  Weights
+    here are the coordinate tuples `Weight.coords` that key `dims`, `spaces`
+    and the row dicts; the pass only hashes and compares them."""
     for mu, top, sources in steps:
         span = spaces[mu]
         target = dims[mu] if top is None else spaces[top].dimension
@@ -167,10 +177,43 @@ class ExplicitModule:
     Basis vectors are grouped by weight (weights[i] is the weight of basis
     vector i; index 0 is the highest-weight vector, which generates the
     module under the f_k).  The f matrices are stored column-wise:
-    f[k-1][col] is a tuple of (row, int or Fraction) entries."""
+    f[k-1][col] is a tuple of (row, int or Fraction) entries.
+
+    The shape is checked (ValueError): weights of one rank with a dominant
+    weights[0], one matrix per k with one column per basis vector, and each
+    entry an exact rational in a row of weight weights[col] - alpha_k.  That
+    the f_k present the module is not checked."""
 
     weights: tuple[Weight, ...]
     f: tuple
+
+    def __post_init__(self):
+        if not self.weights or not all(isinstance(w, Weight) for w in self.weights):
+            raise ValueError("a module's basis weights must be a nonempty sequence of Weights")
+        n, dim = self.n, self.dim
+        if any(w.n != n for w in self.weights):
+            raise ValueError(f"module weights must all belong to sl_{n}")
+        if not self.highest.is_dominant:
+            raise ValueError(f"basis vector 0 has weight {self.highest}, which is not dominant")
+        if len(self.f) != n - 1:
+            raise ValueError(f"sl_{n} needs {n - 1} lowering matrices, got {len(self.f)}")
+        coords = [w.coords for w in self.weights]
+        for k, cols in enumerate(self.f, 1):
+            if len(cols) != dim:
+                raise ValueError(f"f_{k} has {len(cols)} columns for a basis of {dim}")
+            alpha = simple_root_weight(n, k).coords
+            for col, entries in zip(coords, cols):
+                if not entries:
+                    continue
+                low = tuple(map(sub, col, alpha))
+                for r, c in entries:
+                    if not isinstance(c, numbers.Rational):
+                        raise ValueError(f"f_{k} entries must be exact rationals, got {c!r}")
+                    if not isinstance(r, int) or not 0 <= r < dim or coords[r] != low:
+                        raise ValueError(
+                            f"f_{k} has an entry in row {r!r}, not a basis vector of weight "
+                            f"{_weight(n, low)}"
+                        )
 
     @property
     def highest(self) -> Weight:
@@ -229,17 +272,20 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
         actions = list(zip(_exterior_power(n, k), rest.f))
     else:
         actions = [([()], [()])] * (n - 1)
-    alphas = [simple_root_weight(n, k) for k in range(1, n)]
+    alphas = [simple_root_weight(n, k).coords for k in range(1, n)]
 
-    dims = weight_multiplicities(lam)
+    # weights as coordinate tuples from here on
+    top = lam.coords
+    dims = {w.coords: m for w, m in weight_multiplicities(lam).items()}
     order = sorted(
-        dims, key=lambda w: (root_lattice_height(lam - w), [-p for p in w.to_parts()])
+        dims,
+        key=lambda w: (_height(n, tuple(map(sub, top, w))), [-p for p in _parts(w)]),
     )
     spaces = {w: RationalRowBasis() for w in order}
-    rows = {lam: [spaces[lam].insert({0: 1})]}
+    rows = {top: [spaces[top].insert({0: 1})]}
     # degree 0 alone: each f_k acts at lag 0, on the rows of this pass
     steps = [
-        (mu, None, [(mu + alpha, x, 0) for alpha, x in zip(alphas, actions)])
+        (mu, None, [(tuple(map(add, mu, alpha)), x, 0) for alpha, x in zip(alphas, actions)])
         for mu in order
     ]
     _lowering_pass(steps, dims, spaces, rows, {})
@@ -253,18 +299,17 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
 
     flat = [(w, p) for w in order for p in spaces[w].pivots()]
     gidx = {wp: i for i, wp in enumerate(flat)}
-    weights = tuple(w for w, _ in flat)
-    if weights[0] != lam:
+    if flat[0][0] != top:
         raise AssertionError("highest-weight vector is not basis vector 0")
 
-    def matrix(x, alpha: Weight):
+    def matrix(x, alpha):
         out = []
         for w, p in flat:
             img = _tensor_action(*x, spaces[w].row(p))
             if not img:
                 out.append(())
                 continue
-            tw = w - alpha
+            tw = tuple(map(sub, w, alpha))
             target = spaces.get(tw)
             if target is None:
                 raise AssertionError("generator image escaped the module")
@@ -273,7 +318,8 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
         return tuple(out)
 
     f = tuple(matrix(x, alpha) for x, alpha in zip(actions, alphas))
-    return ExplicitModule(weights=weights, f=f)
+    basis = {w: _weight(n, w) for w in order}
+    return ExplicitModule(weights=tuple(basis[w] for w, _ in flat), f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +340,8 @@ def peel_character(char: Mapping[Weight, int]) -> DecompositionMap:
     left: dict[Weight, int] = {}
     n = None
     for w, m in zip(char, exact_ints(char.values(), "character entries")):
+        if not isinstance(w, Weight):
+            raise ValueError(f"character key {w!r} is not a Weight")
         if m < 0:
             raise ValueError(f"character entries must be nonnegative, got {m} at {w}")
         if m:
@@ -358,6 +406,8 @@ class GradedDecomposition:
             (s, tau): m for s, (_, tau), m in zip(degrees, self.entries, mults)
         }
         for (s, tau), m in self.entries.items():
+            if not isinstance(tau, Weight):
+                raise ValueError(f"graded entry ({s}, {tau!r}) does not key a Weight")
             if s < 0 or m <= 0 or tau.n != self.n or not tau.is_dominant:
                 raise ValueError(f"bad graded entry ({s}, {tau}) -> {m}")
 
@@ -392,17 +442,18 @@ class GradedDecomposition:
 
 
 def _lowering_maps(m1: ExplicitModule, m2: ExplicitModule):
-    """The filtration's operators as (alpha_k, x, lag): for each k, the
-    `_tensor_action` pair x of f_k at lag 0 and of 1 (x) f_k at lag 1 on
-    m1 (x) m2, in plain-int columns of f_k on m1 and m2 scaled by the lcm
-    of their denominators, so spans are unchanged."""
+    """The filtration's operators as (alpha_k, x, lag), alpha_k by its
+    coordinates: for each k, the `_tensor_action` pair x of f_k at lag 0
+    and of 1 (x) f_k at lag 1 on m1 (x) m2, in plain-int columns of f_k on
+    m1 and m2 scaled by the lcm of their denominators, so spans are
+    unchanged."""
     maps = []
     for k in range(1, m1.n):
         scale = math.lcm(
             *(c.denominator for m in (m1, m2) for col in m.f[k - 1] for _, c in col)
         )
         f1, f2 = ([[(r, int(c * scale)) for r, c in col] for col in m.f[k - 1]] for m in (m1, m2))
-        alpha = simple_root_weight(m1.n, k)
+        alpha = simple_root_weight(m1.n, k).coords
         maps += [(alpha, (f1, f2), 0), (alpha, ([()] * m1.dim, f2), 1)]
     return maps
 
@@ -444,33 +495,37 @@ def fusion_graded(
         raise ValueError(f"rank mismatch: sl_{m1.n} vs sl_{m2.n}")
     n = m1.n
     full = m1.dim * m2.dim
-    top = m1.highest + m2.highest
 
-    dims: dict[Weight, int] = {}
-    weights2 = Counter(m2.weights).items()
-    for w1, d1 in Counter(m1.weights).items():
+    # weights as coordinate tuples up to the character handed to peel_character
+    top = tuple(map(add, m1.highest.coords, m2.highest.coords))
+    dims: dict[tuple[int, ...], int] = {}
+    weights2 = Counter(w.coords for w in m2.weights).items()
+    for w1, d1 in Counter(w.coords for w in m1.weights).items():
         for w2, d2 in weights2:
-            dims[w1 + w2] = dims.get(w1 + w2, 0) + d1 * d2
-    height = {w: root_lattice_height(top - w) for w in dims}
-    reach = max(h for w, h in height.items() if w.is_dominant)
+            w = tuple(map(add, w1, w2))
+            dims[w] = dims.get(w, 0) + d1 * d2
+    height = {w: _height(n, tuple(map(sub, top, w))) for w in dims}
+    reach = max(h for w, h in height.items() if min(w) >= 0)
     order = sorted((w for w in dims if height[w] <= reach), key=height.__getitem__)
     spaces = {w: IntegerRowSpan() for w in order}
     maps = _lowering_maps(m1, m2)
     # each non-dominant weight stops at the dimension of the dominant weight
-    # of its orbit (see the docstring)
-    steps = [
-        (
-            mu,
-            None if mu.is_dominant else Weight.from_parts(n, sorted(mu.to_parts(), reverse=True)),
-            [(nu, x, lag) for alpha, x, lag in maps if (nu := mu + alpha) in spaces],
-        )
-        for mu in order
-    ]
+    # of its orbit (see the docstring): its parts sorted, as coordinates
+    steps = []
+    for mu in order:
+        stop = None
+        if min(mu) < 0:
+            q = sorted(_parts(mu), reverse=True)
+            stop = tuple(map(sub, q, q[1:]))
+        sources = [
+            (nu, x, lag) for alpha, x, lag in maps if (nu := tuple(map(add, mu, alpha))) in spaces
+        ]
+        steps.append((mu, stop, sources))
 
     # Rows added in degrees s-1 and s, by weight.  A row gets f_k in the
     # degree it was added and 1 (x) f_k in the next one: f_k F_{s-1} and
     # (1 (x) f_k) F_{s-2} already lie in F_{s-1}.
-    prev_rows: dict[Weight, list] = {}
+    prev_rows: dict[tuple[int, ...], list] = {}
     new_rows = {top: [spaces[top].insert({0: 1})]}
     entries: dict[tuple[int, Weight], int] = {}
     total = 0
@@ -482,8 +537,8 @@ def fusion_graded(
         char = {
             w: len(rows)
             for mu, rows in new_rows.items()
-            if rows and mu.is_dominant
-            for w in weyl_orbit(mu)
+            if rows and min(mu) >= 0
+            for w in weyl_orbit(_weight(n, mu))
         }
         if not char:
             raise RuntimeError(

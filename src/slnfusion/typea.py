@@ -134,18 +134,21 @@ class Weight:
 
     def to_parts(self) -> tuple[int, ...]:
         """Epsilon-coordinate representative normalized to last part 0."""
-        parts = [0] * self.n
-        acc = 0
-        for i in range(self.n - 2, -1, -1):
-            acc += self.coords[i]
-            parts[i] = acc
-        return tuple(parts)
+        return _parts(self.coords)
 
     def to_json(self) -> list[int]:
         return list(self.coords)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
+
+
+def _parts(coords: tuple[int, ...]) -> tuple[int, ...]:
+    """`Weight.to_parts` of a weight given by its fundamental coordinates:
+    p_i = m_i + ... + m_{n-1}, and p_n = 0."""
+    parts = list(itertools.accumulate(reversed(coords), initial=0))
+    parts.reverse()
+    return tuple(parts)
 
 
 _new_object = object.__new__
@@ -157,7 +160,10 @@ def _weight(n: int, coords: tuple[int, ...]) -> Weight:
     would store unchanged.  `+`, `-`, unary `-` and `*` combine checked
     weights of one rank (and an int factor); `from_parts` checks the rank
     and its n int parts before taking their n - 1 differences;
-    `tensor.lr_coefficients` takes differences of n sorted int parts."""
+    `tensor.lr_coefficients` takes differences of n sorted int parts;
+    `dyck.dominant_points` subtracts int root columns from a checked weight;
+    `fusion` turns the coordinate tuples of its weight bookkeeping, sums
+    and differences of checked weights of one rank, back into weights."""
     w = _new_object(Weight)
     _set_attr(w, "n", n)
     _set_attr(w, "coords", coords)
@@ -307,18 +313,32 @@ def root_coordinates(weight: Weight) -> tuple[Fraction, ...]:
     return tuple(coords)
 
 
+@lru_cache(maxsize=None)
+def _fundamental_heights2(n: int) -> tuple[int, ...]:
+    # twice the height of omega_k, k = 1..n-1: omega_k has simple-root
+    # coefficients min(j, k) (n - max(j, k)) / n, summing to k (n - k) / 2
+    return tuple(k * (n - k) for k in range(1, n))
+
+
+def _height(n: int, coords: tuple[int, ...]) -> int:
+    """Height (sum of simple-root coefficients) of the sl_n weight with these
+    fundamental coordinates, unchecked: the weight must lie in the root
+    lattice.  Height is linear and omega_k has height k (n - k) / 2, so this
+    is one integer dot product, exactly even on the root lattice."""
+    return sum(map(operator.mul, coords, _fundamental_heights2(n))) // 2
+
+
 def root_lattice_height(weight: Weight) -> int:
     """Sum of simple-root coefficients; the weight must lie in the root lattice.
 
-    Computed in integers: c_k = pref_k - k * total / n (see
-    `root_coordinates`), all integral iff n divides total, and their sum is
-    the sum of the prefix sums minus (total / n) * n(n-1)/2."""
+    The coefficients c_k = pref_k - k * total / n (see `root_coordinates`),
+    total the sum of the parts, are all integral iff n divides total =
+    sum_k k m_k; the sum itself is `_height`."""
     n = weight.n
-    parts = weight.to_parts()
-    q, r = divmod(sum(parts), n)
-    if r:
+    coords = weight.coords
+    if sum(k * c for k, c in enumerate(coords, 1)) % n:
         raise ValueError(f"{weight} is not in the root lattice")
-    return sum(itertools.accumulate(parts[:-1])) - q * n * (n - 1) // 2
+    return _height(n, coords)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from slnfusion import cache_info
 from slnfusion.cases import _dominant_range
+from slnfusion import fusion
 from slnfusion.fusion import (
     DEFAULT_DIM_CAP,
     DimensionCapError,
+    ExplicitModule,
     GradedDecomposition,
     _tensor_action,
     build_irrep,
@@ -124,6 +126,70 @@ def test_build_irrep_validation():
     assert exc.value.dim == 125
     assert exc.value.cap == 100
     assert str(exc.value) == "V(4,4) has dimension 125, above the construction cap 100"
+
+
+def test_explicit_module_validation():
+    m = build_irrep(Weight(3, (1, 1)))
+    v = build_irrep(Weight(3, (1, 0)))
+    moved = list(m.f[0])
+    moved[0] = ((m.dim, 1),)
+    misplaced = list(m.f[0])
+    misplaced[0] = ((0, 1),)
+    inexact = list(m.f[0])
+    inexact[0] = ((m.f[0][0][0][0], 1.0),)
+    unindexed = list(m.f[0])
+    unindexed[0] = ((float(m.f[0][0][0][0]), 1),)
+    bad = [
+        ((), ()),  # no basis
+        (v.weights[::-1], v.f),  # basis vector 0 is the lowest weight
+        (v.weights, v.f[:1]),  # one lowering matrix short
+        (v.weights[:2] + (Weight(4, (0, 0, 1)),), v.f),  # mixed ranks
+        (v.weights[:2] + ((0, -1),), v.f),  # a coordinate tuple
+        (((1, 0),) + v.weights[1:], v.f),  # a coordinate tuple at the top
+        (v.weights, (v.f[0][:2], v.f[1])),  # a column short
+        (m.weights, (tuple(moved),) + m.f[1:]),  # a row past the basis
+        (m.weights, (tuple(misplaced),) + m.f[1:]),  # a row of the wrong weight
+        (m.weights, (tuple(inexact),) + m.f[1:]),  # a float entry
+        (m.weights, (tuple(unindexed),) + m.f[1:]),  # a float row index
+        (m.weights, m.f[::-1]),  # f_1 and f_2 swapped
+        (m.weights[:1] + m.weights[1:][::-1], m.f),  # basis weights reordered
+    ]
+    for weights, f in bad:
+        with pytest.raises(ValueError):
+            ExplicitModule(weights, f)
+    with pytest.raises(ValueError, match="not dominant"):
+        dataclasses.replace(v, weights=v.weights[::-1])
+    with pytest.raises(ValueError, match="needs 2 lowering matrices, got 1"):
+        dataclasses.replace(v, f=v.f[:1])
+    # a well-formed copy is accepted, by the constructor and by replace
+    assert ExplicitModule(m.weights, m.f).f == m.f
+    assert dataclasses.replace(m, f=m.f).weights == m.weights
+
+
+def test_lowering_pass_hashes_no_weight(monkeypatch):
+    # the filtration's bookkeeping is keyed by coordinate tuples: a Weight
+    # hashed or compared inside a pass fails it
+    def refuse(*args):
+        raise AssertionError("a Weight was hashed or compared inside _lowering_pass")
+
+    passes = []
+    original = fusion._lowering_pass
+
+    def guarded(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(Weight, "__hash__", refuse)
+            patch.setattr(Weight, "__eq__", refuse)
+            original(*args)
+        passes.append(args)
+
+    monkeypatch.setattr(fusion, "_lowering_pass", guarded)
+    m1 = fusion._build_irrep.__wrapped__(Weight(3, (2, 1)))
+    m2 = build_irrep(Weight(3, (1, 1)))
+    graded = fusion_graded(m1, 0, m2, 1)
+    # the build of V(2,1) (and of any factor it recursed into), then one
+    # pass per degree
+    assert len(passes) >= 1 + graded.max_degree + 1
+    assert all(type(mu) is tuple for mu, _, _ in passes[-1][0])
 
 
 def test_cache_info_counts_a_repeated_build():
@@ -254,6 +320,10 @@ def test_peel_character_rejects_non_characters():
     # maximal support weight not dominant: its orbit is incomplete
     with pytest.raises(ValueError):
         peel_character({Weight(3, (-1, 1)): 1})
+    # coordinate tuples in place of Weights, zero entries included
+    for char in ({(1, 0): 1}, {Weight(3, (0, 0)): 1, (1, 0): 0}):
+        with pytest.raises(ValueError, match="is not a Weight"):
+            peel_character(char)
 
 
 def small_weights(n, coord_max=2):
@@ -635,3 +705,6 @@ def test_graded_decomposition_validation():
         GradedDecomposition(3, {(-1, Weight(3, (1, 1))): 1})
     with pytest.raises(ValueError):
         GradedDecomposition(3, {(0, Weight(3, (-1, 1))): 1})
+    # a coordinate tuple in place of a Weight, as DecompositionMap rejects it
+    with pytest.raises(ValueError, match="does not key a Weight"):
+        GradedDecomposition(3, {(0, (1, 0)): 1})

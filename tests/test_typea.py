@@ -17,6 +17,8 @@ from slnfusion.tensor import DecompositionMap
 from slnfusion.typea import (
     Root,
     Weight,
+    _height,
+    _parts,
     _weight,
     dominant_weight_multiplicities,
     pairing,
@@ -323,6 +325,36 @@ def test_root_lattice_height_is_sum_of_root_coordinates(n):
             with pytest.raises(ValueError, match="not in the root lattice"):
                 root_lattice_height(w)
     assert verdicts == {True, False}
+
+
+@st.composite
+def root_lattice_weights(draw):
+    """A root-lattice weight of sl_2..sl_7 with its simple-root coefficients."""
+    n = draw(st.integers(2, 7))
+    coefficients = draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1))
+    w = Weight.zero(n)
+    for k, c in enumerate(coefficients, 1):
+        w = w + c * simple_root_weight(n, k)
+    return w, coefficients
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_lattice_weights())
+def test_height_helper_is_the_root_lattice_height(case):
+    w, coefficients = case
+    height = _height(w.n, w.coords)
+    assert type(height) is int
+    assert height == root_lattice_height(w) == sum(coefficients) == sum(root_coordinates(w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(*[st.integers(-5, 5)] * (n - 1))))
+def test_parts_are_suffix_sums(coords):
+    # p_i = m_i + ... + m_{n-1}, p_n = 0; to_parts and from_parts invert each other
+    w = Weight(len(coords) + 1, coords)
+    parts = tuple(sum(coords[i:]) for i in range(w.n))
+    assert _parts(coords) == w.to_parts() == parts
+    assert Weight.from_parts(w.n, parts) == w
 
 
 def test_weight_multiplicities_sl2_strings():
