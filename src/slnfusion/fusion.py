@@ -31,10 +31,11 @@ the weights mu + alpha_k, of smaller height, so every weight the pass visits
 gets the rows it would get in a pass over all weights.  For the same two
 reasons a weight mu that is not dominant stops at the dimension that the
 dominant weight mu+ of its orbit already has: dim F_s(mu) = dim F_s(mu+),
-and mu+ has smaller height, so the pass has finished it.  The rows each degree
-adds at the dominant weights, spread over their Weyl orbits, form the
-character of F_s / F_{s-1}; `peel_character` decomposes it into
-irreducibles, giving the graded decomposition: n and its entries alone.
+and mu+ has smaller height, so the pass has finished it.  The numbers of
+rows each degree adds at the dominant weights are the dominant part of the
+character of F_s / F_{s-1}, the one character format here;
+`peel_character` decomposes it into irreducibles, giving the graded
+decomposition: n and its entries alone.
 
 Every step of the filtration is a weight-space-local row reduction in plain
 integers (the lowering operators are scaled to integer matrices once), which
@@ -43,7 +44,7 @@ Both builders key their weight bookkeeping (dimensions, heights, order, row
 spans, steps and rows) by the coordinate tuples `Weight.coords`, which hash
 and compare in C; heights come from `typea._height`.  `Weight` objects
 appear only at the edges: the basis weights of an `ExplicitModule`, the
-character handed to `peel_character` and the graded entries.
+dominant weights handed to `peel_character` and the graded entries.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .typea import (
     simple_root_weight,
     weight_multiplicities,
     weyl_dim,
-    weyl_orbit,
 )
 
 __all__ = [
@@ -180,9 +180,11 @@ class ExplicitModule:
     f[k-1][col] is a tuple of (row, int or Fraction) entries.
 
     The shape is checked (ValueError): weights of one rank with a dominant
-    weights[0], one matrix per k with one column per basis vector, and each
-    entry an exact rational in a row of weight weights[col] - alpha_k.  That
-    the f_k present the module is not checked."""
+    weights[0]; f a tuple or list of one matrix per k, each a tuple or list
+    of one column per basis vector; each column a tuple or list of
+    (row, value) pairs; each value an exact rational in a row of weight
+    weights[col] - alpha_k.  That the f_k present the module is not
+    checked."""
 
     weights: tuple[Weight, ...]
     f: tuple
@@ -195,6 +197,12 @@ class ExplicitModule:
             raise ValueError(f"module weights must all belong to sl_{n}")
         if not self.highest.is_dominant:
             raise ValueError(f"basis vector 0 has weight {self.highest}, which is not dominant")
+        if not isinstance(self.f, (tuple, list)) or not all(
+            isinstance(x, (tuple, list)) for x in self.f
+        ):
+            raise ValueError(
+                "f must be a tuple or list of matrices, each a tuple or list of columns"
+            )
         if len(self.f) != n - 1:
             raise ValueError(f"sl_{n} needs {n - 1} lowering matrices, got {len(self.f)}")
         coords = [w.coords for w in self.weights]
@@ -203,8 +211,10 @@ class ExplicitModule:
                 raise ValueError(f"f_{k} has {len(cols)} columns for a basis of {dim}")
             alpha = simple_root_weight(n, k).coords
             for col, entries in zip(coords, cols):
-                if not entries:
-                    continue
+                if not isinstance(entries, (tuple, list)) or not all(
+                    isinstance(e, (tuple, list)) and len(e) == 2 for e in entries
+                ):
+                    raise ValueError(f"f_{k} columns must be tuples or lists of (row, value) pairs")
                 low = tuple(map(sub, col, alpha))
                 for r, c in entries:
                     if not isinstance(c, numbers.Rational):
@@ -328,61 +338,42 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
 
 
 def peel_character(char: Mapping[Weight, int]) -> DecompositionMap:
-    """Decompose a Weyl-invariant character (weight -> multiplicity, entries
-    nonnegative) into irreducibles; raises ValueError if the input is not a
-    genuine module character.
+    """Decompose a module character, given by its dominant part (dominant
+    weight -> multiplicity, entries nonnegative), into irreducibles; raises
+    ValueError if the input is not the dominant part of a genuine module
+    character.
 
-    The input must be Weyl-invariant: the support is a union of complete
-    orbits, each with one multiplicity.  An invariant character is fixed by
-    its dominant part, so the strip runs there alone: it repeatedly removes
-    the dominant weights of V(top), top the maximal dominant support weight,
-    and rejects a multiplicity driven negative."""
-    left: dict[Weight, int] = {}
-    n = None
-    for w, m in zip(char, exact_ints(char.values(), "character entries")):
+    A Weyl-invariant character is fixed by its dominant part, so no other
+    weight is read or accepted: the keys must be dominant Weights of one
+    rank, checked as `DecompositionMap` checks its entries.  The strip
+    repeatedly removes the dominant weights of V(top), top the maximal
+    remaining weight, and rejects a multiplicity driven negative."""
+    keys = list(char)
+    for w in keys:
         if not isinstance(w, Weight):
             raise ValueError(f"character key {w!r} is not a Weight")
-        if m < 0:
-            raise ValueError(f"character entries must be nonnegative, got {m} at {w}")
-        if m:
-            left[w] = m
-            n = w.n
-    if n is None:
+    # the dominant part has the shape of a decomposition, and is checked as one
+    left = DecompositionMap(keys[0].n, char).entries if keys else {}
+    if not left:
         raise ValueError("cannot peel an empty character")
 
-    dominant = {w: m for w, m in left.items() if w.is_dominant}
-    covered = 0
-    for dom, m in dominant.items():
-        orbit = weyl_orbit(dom)
-        if any(left.get(w) != m for w in orbit):
-            raise ValueError(
-                f"the orbit of {dom} does not carry its multiplicity {m} "
-                "throughout; not a module character"
-            )
-        covered += len(orbit)
-    if covered != len(left):
-        raise ValueError(
-            "some support weight has no dominant weight of its orbit in the "
-            "support; not a module character"
-        )
-
     found: dict[Weight, int] = {}
-    while dominant:
-        top = max(dominant, key=lambda w: w.to_parts())
-        mult = dominant[top]
+    while left:
+        top = max(left, key=lambda w: w.to_parts())
+        mult = left[top]
         for nu, m in dominant_weight_multiplicities(top).items():
-            val = dominant.get(nu, 0) - mult * m
+            val = left.get(nu, 0) - mult * m
             if val > 0:
-                dominant[nu] = val
+                left[nu] = val
             elif val == 0:
-                dominant.pop(nu, None)
+                left.pop(nu, None)
             else:
                 raise ValueError(
                     f"stripping {mult} x V{top} drives the multiplicity of {nu} "
                     "negative; not a module character"
                 )
         found[top] = mult
-    return DecompositionMap(n, found)
+    return DecompositionMap(keys[0].n, found)
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +391,17 @@ class GradedDecomposition:
 
     def __post_init__(self):
         _check_rank(self.n)
+        for key in self.entries:
+            if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], Weight)):
+                raise ValueError(
+                    f"graded entry {key!r} does not key a Weight: keys are (degree, Weight) pairs"
+                )
         degrees = exact_ints([s for s, _ in self.entries], "degrees")
         mults = exact_ints(self.entries.values(), "multiplicities")
         self.entries = {
             (s, tau): m for s, (_, tau), m in zip(degrees, self.entries, mults)
         }
         for (s, tau), m in self.entries.items():
-            if not isinstance(tau, Weight):
-                raise ValueError(f"graded entry ({s}, {tau!r}) does not key a Weight")
             if s < 0 or m <= 0 or tau.n != self.n or not tau.is_dominant:
                 raise ValueError(f"bad graded entry ({s}, {tau}) -> {m}")
 
@@ -473,9 +467,9 @@ def fusion_graded(
     The filtration is therefore built with 1 (x) f_k in place of f_k (x) t.
 
     Only the weights mu with height(top - mu) at most the dominant reach are
-    visited, only the dominant part of each degree is peeled, and a weight
-    mu that is not dominant stops inserting once its span reaches the
-    dimension of F_s(mu+), mu+ the dominant weight of its orbit:
+    visited, only the dominant part of each degree's character is peeled,
+    and a weight mu that is not dominant stops inserting once its span
+    reaches the dimension of F_s(mu+), mu+ the dominant weight of its orbit:
     - each F_s is sl_n-stable, so the dominant weights of F_s / F_{s-1}
       fix its character, and all of them lie within the reach;
     - F_s(mu) reads only F_s and F_{s-1} at mu + alpha_k, of smaller
@@ -496,7 +490,7 @@ def fusion_graded(
     n = m1.n
     full = m1.dim * m2.dim
 
-    # weights as coordinate tuples up to the character handed to peel_character
+    # weights as coordinate tuples up to the dominant part handed to peel_character
     top = tuple(map(add, m1.highest.coords, m2.highest.coords))
     dims: dict[tuple[int, ...], int] = {}
     weights2 = Counter(w.coords for w in m2.weights).items()
@@ -532,13 +526,9 @@ def fusion_graded(
     degree = 0
     while total < full:
         _lowering_pass(steps, dims, spaces, new_rows, prev_rows)
-        # the rows added to mu in this degree s span F_s(mu) modulo F_{s-1}(mu);
-        # each dominant count holds on the whole orbit of mu
+        # the rows added to mu in this degree s span F_s(mu) modulo F_{s-1}(mu)
         char = {
-            w: len(rows)
-            for mu, rows in new_rows.items()
-            if rows and min(mu) >= 0
-            for w in weyl_orbit(_weight(n, mu))
+            _weight(n, mu): len(rows) for mu, rows in new_rows.items() if rows and min(mu) >= 0
         }
         if not char:
             raise RuntimeError(
@@ -550,7 +540,6 @@ def fusion_graded(
         prev_rows, new_rows = new_rows, {}
         degree += 1
 
-    graded = GradedDecomposition(n=n, entries=entries)
-    if graded.dimension() != full:
+    if total != full:
         raise AssertionError("graded slices do not add up to the tensor dimension")
-    return graded
+    return GradedDecomposition(n=n, entries=entries)

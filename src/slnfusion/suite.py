@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import functools
 import time
-from collections import Counter
 from dataclasses import dataclass
 
-from .cases import _dominant_range, proven_regime, verify_case
+from .cases import _dominant_range, _points_as_map, proven_regime, verify_case
 from .dyck import bounds_from_weight, dominant_points, lattice_points
 from .fusion import (
     DEFAULT_DIM_CAP,
@@ -210,7 +209,7 @@ def check_fusion(dim_cap: int = DEFAULT_DIM_CAP):
         collapse = _fuse(lam1, lam2, dim_cap).ungraded()
         if collapse != lr_coefficients(lam1, lam2):
             oracle.append((lam1.coords, lam2.coords))
-        counts = Counter(tau for _, tau in dominant_points(lam1, lam2))
+        counts = _points_as_map(lam1.n, dominant_points(lam1, lam2))
         for tau, mult in collapse.items_sorted():
             if counts[tau] < mult:
                 sandwich.append((lam1.coords, lam2.coords, tau.coords))

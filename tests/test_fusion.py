@@ -161,6 +161,16 @@ def test_explicit_module_validation():
         dataclasses.replace(v, weights=v.weights[::-1])
     with pytest.raises(ValueError, match="needs 2 lowering matrices, got 1"):
         dataclasses.replace(v, f=v.f[:1])
+    # every column is a tuple or list of (row, value) pairs; an empty column
+    # must be empty, not a falsy number
+    for column in (5, 0, ((1,),), ((1, 1, 1),)):
+        cols = (column,) + m.f[0][1:]
+        with pytest.raises(ValueError, match="tuples or lists of \\(row, value\\) pairs"):
+            ExplicitModule(m.weights, (cols,) + m.f[1:])
+    # and f is a tuple or list of matrices, each a tuple or list of columns
+    for f in (5, (5, v.f[1]), (None, v.f[1])):
+        with pytest.raises(ValueError, match="each a tuple or list of columns"):
+            ExplicitModule(v.weights, f)
     # a well-formed copy is accepted, by the constructor and by replace
     assert ExplicitModule(m.weights, m.f).f == m.f
     assert dataclasses.replace(m, f=m.f).weights == m.weights
@@ -295,15 +305,19 @@ def test_build_irrep_near_cap():
     assert elapsed < 10, f"V(6,6) took {elapsed:.1f}s, budget 10s"
 
 
+def dominant_part(char):
+    return {w: m for w, m in char.items() if w.is_dominant}
+
+
 def test_peel_character_examples():
     doubled = {w: 2 * m for w, m in weight_multiplicities(Weight(3, (1, 0))).items()}
-    assert peel_character(doubled).entries == {Weight(3, (1, 0)): 2}
+    assert peel_character(dominant_part(doubled)).entries == {Weight(3, (1, 0)): 2}
 
     conv = {}
     for mu1, k1 in weight_multiplicities(Weight(3, (1, 0))).items():
         for mu2, k2 in weight_multiplicities(Weight(3, (0, 1))).items():
             conv[mu1 + mu2] = conv.get(mu1 + mu2, 0) + k1 * k2
-    assert peel_character(conv).entries == {
+    assert peel_character(dominant_part(conv)).entries == {
         Weight(3, (1, 1)): 1,
         Weight.zero(3): 1,
     }
@@ -314,16 +328,22 @@ def test_peel_character_rejects_non_characters():
         peel_character({Weight(3, (1, 0)): -1})
     with pytest.raises(ValueError):
         peel_character({})
-    # dominant top but the rest of its orbit is missing
-    with pytest.raises(ValueError):
-        peel_character({Weight(3, (1, 0)): 1, Weight(3, (-1, 1)): 0})
-    # maximal support weight not dominant: its orbit is incomplete
-    with pytest.raises(ValueError):
-        peel_character({Weight(3, (-1, 1)): 1})
+    with pytest.raises(ValueError, match="empty"):
+        peel_character({Weight(3, (1, 0)): 0})
+    # V(1,1) has the zero weight twice: stripping it leaves -2 there
+    with pytest.raises(ValueError, match="negative"):
+        peel_character({Weight(3, (1, 1)): 1})
     # coordinate tuples in place of Weights, zero entries included
     for char in ({(1, 0): 1}, {Weight(3, (0, 0)): 1, (1, 0): 0}):
         with pytest.raises(ValueError, match="is not a Weight"):
             peel_character(char)
+
+
+def test_peel_character_rejects_mixed_ranks():
+    # rejected before the strip, at multiplicity 0 too
+    for m in (1, 0):
+        with pytest.raises(ValueError, match="does not belong to sl_3"):
+            peel_character({Weight(3, (1, 0)): 1, Weight(2, (1,)): m})
 
 
 def small_weights(n, coord_max=2):
@@ -351,25 +371,17 @@ def character_of(dm):
 @settings(deadline=None, max_examples=40)
 @given(dm=decomposition_maps())
 def test_peel_character_round_trip(dm):
-    assert peel_character(character_of(dm)) == dm
+    assert peel_character(dominant_part(character_of(dm))) == dm
 
 
-@settings(deadline=None, max_examples=40)
-@given(dm=decomposition_maps(), data=st.data())
-def test_peel_character_rejects_a_broken_orbit(dm, data):
-    # a genuine character with one non-dominant weight dropped or its
-    # multiplicity changed is no longer Weyl-invariant
-    char = character_of(dm)
-    off = sorted((w for w in char if not w.is_dominant), key=lambda w: w.coords)
-    assume(off)
-    w = data.draw(st.sampled_from(off))
-    m = data.draw(st.integers(0, char[w] + 3).filter(lambda m: m != char[w]))
-    if m:
-        char[w] = m
-    else:
-        del char[w]
-    with pytest.raises(ValueError):
-        peel_character(char)
+def test_peel_character_rejects_a_non_dominant_key():
+    # the full character of a module is not its dominant part; a
+    # non-dominant key is rejected at multiplicity 0 too, and alone
+    chars = [weight_multiplicities(lam) for lam in SAMPLE_MODULES]
+    chars += [{Weight(3, (1, 0)): 1, Weight(3, (-1, 1)): 0}, {Weight(3, (-1, 1)): 1}]
+    for char in chars:
+        with pytest.raises(ValueError, match="not dominant"):
+            peel_character(char)
 
 
 def test_fusion_graded_sl2_frozen():
@@ -708,3 +720,8 @@ def test_graded_decomposition_validation():
     # a coordinate tuple in place of a Weight, as DecompositionMap rejects it
     with pytest.raises(ValueError, match="does not key a Weight"):
         GradedDecomposition(3, {(0, (1, 0)): 1})
+    # keys that are not (degree, Weight) pairs
+    w = Weight(3, (1, 0))
+    for entries in ({5: 1}, {(0, w, 1): 1}, {(w,): 1}, {"ab": 1}, {(0, w): 1, 7: 1}):
+        with pytest.raises(ValueError, match="keys are \\(degree, Weight\\) pairs"):
+            GradedDecomposition(3, entries)
