@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .dyck import LatticePoint, dominant_points
 from .tensor import DecompositionMap, lr_coefficients
-from .typea import Weight, weight_multiplicities
+from .typea import Weight, _same_rank, weight_multiplicities
 
 __all__ = [
     "sl2_mults",
@@ -177,7 +177,7 @@ def is_much_greater(lambda1: Weight, lambda2: Weight) -> bool:
     through lambda2(h_beta) for all roots beta.  For dominant lambda2 the
     least of these is -lambda2(h_theta): theta - beta is a nonnegative sum of
     simple roots for every positive root beta."""
-    lambda1._check_same_rank(lambda2)
+    _same_rank(lambda1, lambda2)
     for w in (lambda1, lambda2):
         if not w.is_dominant:
             raise ValueError(f"is_much_greater requires dominant weights, got {w}")
@@ -209,7 +209,7 @@ def _is_row_or_column(w: Weight) -> bool:
 
 def proven_regime(lambda1: Weight, lambda2: Weight) -> str | None:
     """Name of a proven regime covering the (unordered) pair, or None."""
-    lambda1._check_same_rank(lambda2)
+    _same_rank(lambda1, lambda2)
     if lambda1.n == 2:
         return "sl2"
     if _is_rectangular(lambda1) and _is_rectangular(lambda2):

@@ -35,6 +35,7 @@ from .typea import (
     Root,
     Weight,
     _check_rank,
+    _same_rank,
     _weight,
     exact_ints,
     positive_root_index,
@@ -165,7 +166,7 @@ def _root_pairings(weight: Weight) -> tuple[int, ...]:
 
 def bounds_from_pair(lambda1: Weight, lambda2: Weight) -> BoundVector:
     """a_alpha = min(lambda1(h_alpha), lambda2(h_alpha))."""
-    lambda1._check_same_rank(lambda2)
+    _same_rank(lambda1, lambda2)
     for w in (lambda1, lambda2):
         if not w.is_dominant:
             raise ValueError(f"bounds_from_pair requires dominant weights, got {w}")

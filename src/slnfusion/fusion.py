@@ -53,10 +53,10 @@ import itertools
 import math
 import numbers
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
-from typing import Mapping
 
 from .linalg import IntegerRowSpan, RationalRowBasis
 from .tensor import DecompositionMap
@@ -348,6 +348,8 @@ def peel_character(char: Mapping[Weight, int]) -> DecompositionMap:
     rank, checked as `DecompositionMap` checks its entries.  The strip
     repeatedly removes the dominant weights of V(top), top the maximal
     remaining weight, and rejects a multiplicity driven negative."""
+    if not isinstance(char, Mapping):
+        raise ValueError(f"a character must be a mapping, got {type(char).__name__}")
     keys = list(char)
     for w in keys:
         if not isinstance(w, Weight):

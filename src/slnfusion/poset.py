@@ -16,12 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import le
+from operator import le, sub
 
 from .cases import proven_regime
-from .dyck import BoundVector, bounds_from_pair
+from .dyck import BoundVector, _root_pairings, bounds_from_pair
 from .tensor import DecompositionMap, lr_coefficients, schur_positive
-from .typea import Weight, weyl_dim
+from .typea import Weight, _new_object, _parts, _same_rank, _set_attr, _weight, weyl_dim
 
 __all__ = [
     "WeightPair",
@@ -44,10 +44,7 @@ class WeightPair:
     second: Weight
 
     def __post_init__(self):
-        if self.first.n != self.second.n:
-            raise ValueError(
-                f"rank mismatch: sl_{self.first.n} vs sl_{self.second.n}"
-            )
+        _same_rank(self.first, self.second)
         for w in (self.first, self.second):
             if not w.is_dominant:
                 raise ValueError(f"pair components must be dominant, got {w}")
@@ -78,22 +75,38 @@ class WeightPair:
         return {"first": self.first.to_json(), "second": self.second.to_json()}
 
 
+def _pair(first: Weight, second: Weight) -> WeightPair:
+    """`WeightPair(first, second)` without `__post_init__`, for dominant
+    weights of one rank, first's parts at least second's, as it stores them."""
+    pair = _new_object(WeightPair)
+    _set_attr(pair, "first", first)
+    _set_attr(pair, "second", second)
+    return pair
+
+
 def enumerate_pairs(lam: Weight) -> list[WeightPair]:
     """All unordered dominant pairs summing to lam, largest first component
     first."""
+    n = _same_rank(lam)
     if not lam.is_dominant:
         raise ValueError(f"expected a dominant weight, got {lam}")
-    seen: set[WeightPair] = set()
-    for coords in itertools.product(*(range(m + 1) for m in lam.coords)):
-        mu = Weight(lam.n, coords)
-        seen.add(WeightPair(mu, lam - mu))
-    return sorted(
-        seen, key=lambda p: (p.first.to_parts(), p.second.to_parts()), reverse=True
-    )
+    # each unordered pair once: as (c, lam - c) with the larger parts first
+    coords, found = lam.coords, []
+    for c in itertools.product(*(range(m + 1) for m in coords)):
+        d = tuple(map(sub, coords, c))
+        pc, pd = _parts(c), _parts(d)
+        if pc >= pd:
+            found.append((pc, pd, c, d))
+    # parts fix the coordinates, so the sort never compares beyond pc, pd
+    found.sort(reverse=True)
+    return [_pair(_weight(n, c), _weight(n, d)) for _, _, c, d in found]
 
 
 def order_leq(pair_a: WeightPair, pair_b: WeightPair) -> bool:
     """Entrywise min-vector comparison; only defined within one poset."""
+    for p in (pair_a, pair_b):
+        if not isinstance(p, WeightPair):
+            raise TypeError(f"expected a WeightPair, got {type(p).__name__}")
     if pair_a.total != pair_b.total:
         raise ValueError(
             f"pairs decompose different weights: {pair_a.total} vs {pair_b.total}"
@@ -104,6 +117,7 @@ def order_leq(pair_a: WeightPair, pair_b: WeightPair) -> bool:
 def maximal_pair(lam: Weight) -> WeightPair:
     """The unique maximal pair: coordinates are halved, with odd coordinates
     rounded down/up alternately along the odd positions."""
+    _same_rank(lam)
     if not lam.is_dominant:
         raise ValueError(f"expected a dominant weight, got {lam}")
     half = []
@@ -198,12 +212,14 @@ def poset_report(lam: Weight) -> PosetReport:
     """Full poset snapshot: cover edges only (transitive reduction), each
     cover labeled with its `schur_positive` verdict.
 
-    The order matrix is built once, from the nodes' min-vectors: every node
-    sums to lam, so `order_leq`'s check of the totals would add nothing.  The
-    strict order, the covers and the extremal-element assertions all read that
-    one matrix."""
+    The order matrix is built once, from the nodes' min-vectors (read from
+    the root pairings, no BoundVector): every node sums to lam, so
+    `order_leq`'s check of the totals would add nothing.  The strict order,
+    the covers and the extremal-element assertions all read that one matrix."""
     nodes = enumerate_pairs(lam)
-    mins = [p.min_vector.values for p in nodes]
+    mins = [
+        tuple(map(min, _root_pairings(p.first), _root_pairings(p.second))) for p in nodes
+    ]
     leq = tuple(tuple(all(map(le, a, b)) for b in mins) for a in mins)
     # above[a]: the nodes strictly above node a
     above = [

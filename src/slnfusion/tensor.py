@@ -8,28 +8,32 @@ the dominant chamber with the sign of the sorting permutation.  The diagram
 is read from `typea`'s cached Weyl orbits (one per dominant weight).  A
 shifted point is singular when its parts repeat; a regular point's
 inversions are counted only if sorting moves it.  `_lr_cached`, the one LR
-cache, holds per pair the checked fold in plain ints: each constituent's
-sorted shifted parts with its positive multiplicity.  `lr_coefficients`
-builds a fresh DecompositionMap from it on every call, in report order;
-`schur_positive` compares two folds of one total by multiset containment.
+cache, holds the fold in plain ints: each constituent's sorted shifted
+parts with its positive multiplicity.  It is keyed by the rank and the two
+factors' coordinate tuples, larger first, so a pair and its reverse share
+one fold; the public callers check the factors before the lookup, so no
+failing pair is cached.  `lr_coefficients` builds a fresh DecompositionMap
+from the fold on every call, in report order; `schur_positive` compares two
+folds of one total by multiset containment and builds no Weight.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations, starmap
 from operator import add, lt
-from typing import Mapping
 
 from .typea import (
     Weight,
     _check_rank,
     _dominant_mults_by_parts,
     _orbit_parts,
+    _parts,
+    _same_rank,
     _weight,
     _weyl_dim_parts,
     exact_ints,
-    weyl_dim,
 )
 
 __all__ = [
@@ -45,6 +49,8 @@ class DecompositionMap:
 
     def __init__(self, n: int, entries: Mapping[Weight, int]):
         _check_rank(n)
+        if not isinstance(entries, Mapping):
+            raise ValueError(f"entries must be a mapping, got {type(entries).__name__}")
         self.n = n
         checked: dict[Weight, int] = {}
         for w, m in zip(entries, exact_ints(entries.values(), "multiplicities")):
@@ -99,21 +105,27 @@ class DecompositionMap:
             "terms": [{"tau": w.to_json(), "mult": m} for w, m in self._entries.items()],
         }
 
+    _dim = None  # set by the first dimension() call; the entries never change
+
     def dimension(self) -> int:
-        # every entry is dominant, so the cached formula needs no check
-        return sum(m * _weyl_dim_parts(w.to_parts()) for w, m in self._entries.items())
+        if self._dim is None:
+            # every entry is dominant, so the cached formula needs no check
+            self._dim = sum(
+                m * _weyl_dim_parts(w.to_parts()) for w, m in self._entries.items()
+            )
+        return self._dim
 
 
-def _klimyk(lambda1: Weight, lambda2: Weight) -> dict[tuple[int, ...], int]:
-    """Reflection-rule decomposition walking the diagram of the second
-    factor: each constituent tau keyed by the sorted parts of lambda1 + rho
-    + nu that fold to it (tau + rho, shifted by a constant), with its
-    nonzero multiplicity."""
-    n = lambda1.n
-    shift = [p + n - 1 - k for k, p in enumerate(lambda1.to_parts())]  # lambda1 + rho
+def _klimyk(parts1: tuple[int, ...], parts2: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Reflection-rule decomposition of the dominant weights with these
+    parts, walking the diagram of the second: each constituent tau keyed by
+    the sorted parts of lambda1 + rho + nu that fold to it (tau + rho,
+    shifted by a constant), with its nonzero multiplicity."""
+    n = len(parts1)
+    shift = [p + n - 1 - k for k, p in enumerate(parts1)]  # lambda1 + rho
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
-    for q, mult in _dominant_mults_by_parts(n, lambda2.to_parts()).items():
+    for q, mult in _dominant_mults_by_parts(n, parts2).items():
         for nu in _orbit_parts(q):
             parts = list(map(add, shift, nu))
             if len(set(parts)) < n:
@@ -131,23 +143,30 @@ def _klimyk(lambda1: Weight, lambda2: Weight) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _lr_cached(lambda1: Weight, lambda2: Weight) -> dict[tuple[int, ...], int]:
-    # A pair that fails these checks raises and is never cached, so they run
-    # once per pair.
-    lambda1._check_same_rank(lambda2)
+def _lr_cached(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    # Every key's parts sum to |lambda1| + |lambda2| + |rho| whichever factor
+    # is walked, so walk the one with the smaller module dimension.
+    p, q = _parts(a), _parts(b)
+    if _weyl_dim_parts(q) > _weyl_dim_parts(p):
+        p, q = q, p
+    return _klimyk(p, q)
+
+
+def _fold(lambda1: Weight, lambda2: Weight) -> dict[tuple[int, ...], int]:
+    """The cached fold of two weights of one rank, checked dominant first
+    and looked up with the larger coordinates first."""
     for w in (lambda1, lambda2):
-        if not w.is_dominant:
+        if min(w.coords) < 0:
             raise ValueError(f"tensor factors must be dominant, got {w}")
-    # Walk the diagram of the factor with the smaller module dimension.
-    if weyl_dim(lambda2) > weyl_dim(lambda1):
-        lambda1, lambda2 = lambda2, lambda1
-    return _klimyk(lambda1, lambda2)
+    a, b = lambda1.coords, lambda2.coords
+    return _lr_cached(lambda1.n, a, b) if a >= b else _lr_cached(lambda1.n, b, a)
 
 
 def lr_coefficients(lambda1: Weight, lambda2: Weight) -> DecompositionMap:
     """Multiplicities of every irreducible constituent of
     V(lambda1) (x) V(lambda2), as a DecompositionMap."""
-    raw = _lr_cached(lambda1, lambda2)
+    _same_rank(lambda1, lambda2)
+    raw = _fold(lambda1, lambda2)
     # A constituent's parts are `key - key[-1] - rho`, so sorting by
     # `key - key[-1]` sorts by parts: report order.  Each key is strictly
     # decreasing, so each coordinate is a nonnegative int.
@@ -165,7 +184,8 @@ def schur_positive(
 ) -> bool:
     """Whether lr(pair_low) is contained in lr(pair_high) as a multiset:
     every constituent of V(l1) (x) V(l2) occurs in V(h1) (x) V(h2) at least
-    as often.  The two pairs must have the same total weight.
+    as often.  The four weights must share one rank, and the two pairs one
+    total weight.
 
     This is exactly "lr(pair_high) - lr(pair_low) has no negative entry":
     at a key found only in lr(pair_high) the difference is that map's
@@ -176,9 +196,13 @@ def schur_positive(
     lambda1 + lambda2, so pairs of one total share one set of keys."""
     h1, h2 = pair_high
     l1, l2 = pair_low
-    if h1 + h2 != l1 + l2:
+    n = _same_rank(h1, h2, l1, l2)
+    high = tuple(map(add, h1.coords, h2.coords))
+    low = tuple(map(add, l1.coords, l2.coords))
+    if high != low:
         raise ValueError(
-            f"pairs must share the same total weight, got {h1 + h2} vs {l1 + l2}"
+            "pairs must share the same total weight, "
+            f"got {_weight(n, high)} vs {_weight(n, low)}"
         )
-    high = _lr_cached(h1, h2).get
-    return all(high(key, 0) >= m for key, m in _lr_cached(l1, l2).items())
+    high = _fold(h1, h2).get
+    return all(high(key, 0) >= m for key, m in _fold(l1, l2).items())

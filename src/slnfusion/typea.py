@@ -98,18 +98,12 @@ class Weight:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same_rank(self, other: "Weight") -> None:
-        if not isinstance(other, Weight):
-            raise TypeError(f"expected a Weight, got {type(other).__name__}")
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: sl_{self.n} vs sl_{other.n}")
-
     def __add__(self, other: "Weight") -> "Weight":
-        self._check_same_rank(other)
+        _same_rank(self, other)
         return _weight(self.n, tuple(map(operator.add, self.coords, other.coords)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        self._check_same_rank(other)
+        _same_rank(self, other)
         return _weight(self.n, tuple(map(operator.sub, self.coords, other.coords)))
 
     def __neg__(self) -> "Weight":
@@ -141,6 +135,19 @@ class Weight:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
+
+
+def _same_rank(*weights) -> int:
+    """The rank n shared by `weights`: TypeError for an argument that is not
+    a Weight, ValueError naming n and the first rank that differs from it."""
+    for w in weights:
+        if not isinstance(w, Weight):
+            raise TypeError(f"expected a Weight, got {type(w).__name__}")
+    n = weights[0].n
+    for w in weights:
+        if w.n != n:
+            raise ValueError(f"rank mismatch: sl_{n} vs sl_{w.n}")
+    return n
 
 
 def _parts(coords: tuple[int, ...]) -> tuple[int, ...]:

@@ -337,6 +337,10 @@ def test_peel_character_rejects_non_characters():
     for char in ({(1, 0): 1}, {Weight(3, (0, 0)): 1, (1, 0): 0}):
         with pytest.raises(ValueError, match="is not a Weight"):
             peel_character(char)
+    # not a mapping: a list of (Weight, multiplicity) pairs, or nothing
+    for char in ([(Weight(3, (1, 0)), 1)], None):
+        with pytest.raises(ValueError, match="must be a mapping"):
+            peel_character(char)
 
 
 def test_peel_character_rejects_mixed_ranks():

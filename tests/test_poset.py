@@ -1,6 +1,7 @@
 """Two-part splitting posets, their cover relations, Weyl predictions."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,68 @@ def test_enumerate_pairs_orbit_count():
                 ordered *= m + 1
             self_paired = 1 if all(m % 2 == 0 for m in lam.coords) else 0
             assert 2 * len(orbits) - self_paired == ordered
+
+
+def set_and_sort_pairs(lam):
+    """enumerate_pairs by its definition: every splitting through the checked
+    WeightPair constructor, deduplicated by a set, then sorted."""
+    seen = set()
+    for coords in itertools.product(*(range(m + 1) for m in lam.coords)):
+        mu = Weight(lam.n, coords)
+        seen.add(WeightPair(mu, lam - mu))
+    return sorted(
+        seen, key=lambda p: (p.first.to_parts(), p.second.to_parts()), reverse=True
+    )
+
+
+def test_enumerate_pairs_matches_set_and_sort_reference():
+    for n, cmax in ((2, 8), (3, 4), (4, 3), (5, 2)):
+        for lam in _dominant_range(n, cmax):
+            got, expected = enumerate_pairs(lam), set_and_sort_pairs(lam)
+            assert got == expected
+            assert [hash(p) for p in got] == [hash(p) for p in expected]
+            assert [p.to_json() for p in got] == [p.to_json() for p in expected]
+
+
+W = Weight(3, (1, 0))
+PAIR = WeightPair(W, W)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: lr_coefficients((1, 0), W), "Weight"),
+        (lambda: lr_coefficients(W, (1, 0)), "Weight"),
+        (lambda: schur_positive(((1, 0), W), (W, W)), "Weight"),
+        (lambda: schur_positive((W, W), (W, (1, 0))), "Weight"),
+        (lambda: enumerate_pairs((1, 1)), "Weight"),
+        (lambda: maximal_pair((2, 2)), "Weight"),
+        (lambda: WeightPair((1, 0), (0, 1)), "Weight"),
+        (lambda: WeightPair(W, (0, 1)), "Weight"),
+        (lambda: poset_report((1, 1)), "Weight"),
+        (lambda: weyl_character_prediction((2, 2)), "Weight"),
+        (lambda: order_leq((1,), (2,)), "WeightPair"),
+        (lambda: order_leq(PAIR, (2,)), "WeightPair"),
+    ],
+    ids=[
+        "lr first",
+        "lr second",
+        "schur high",
+        "schur low",
+        "enumerate_pairs",
+        "maximal_pair",
+        "pair first",
+        "pair second",
+        "poset_report",
+        "weyl prediction",
+        "order_leq first",
+        "order_leq second",
+    ],
+)
+def test_non_weight_arguments_raise_one_type_error(call, expected):
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == f"expected a {expected}, got tuple"
 
 
 def test_order_leq_chain_and_errors():

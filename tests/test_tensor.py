@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slnfusion import cache_info, tensor
 from slnfusion.cases import _dominant_range, is_much_greater, large_case_mults
 from slnfusion.poset import enumerate_pairs
 from slnfusion.tensor import DecompositionMap, _klimyk, lr_coefficients, schur_positive
@@ -24,6 +25,10 @@ def test_map_validation():
         DecompositionMap(3, {Weight(3, (-1, 1)): 1})
     with pytest.raises(ValueError):
         DecompositionMap(3, {Weight(2, (1,)): 1})
+    # entries that are not a mapping: a list of pairs, or nothing
+    for entries in ([(w, 1)], None):
+        with pytest.raises(ValueError, match="must be a mapping"):
+            DecompositionMap(3, entries)
 
 
 def test_map_sorting_and_json():
@@ -41,6 +46,20 @@ def test_map_sorting_and_json():
 def test_map_dimension():
     dm = DecompositionMap(3, {Weight(3, (1, 1)): 1, Weight.zero(3): 1})
     assert dm.dimension() == 9
+
+
+def test_map_dimension_equals_the_fresh_sum_and_is_computed_once():
+    def unreachable(parts):
+        raise AssertionError("dimension() recomputed")
+
+    maps = [DecompositionMap(3, {Weight(3, (2, 1)): 2, Weight.zero(3): 3})]
+    maps += [lr_coefficients(a, b) for a in _dominant_range(4, 1) for b in _dominant_range(4, 1)]
+    for dm in maps:
+        fresh = sum(m * weyl_dim(w) for w, m in dm.items_sorted())
+        assert dm.dimension() == fresh
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tensor, "_weyl_dim_parts", unreachable)
+            assert dm.dimension() == fresh
 
 
 def test_lr_frozen_fundamentals():
@@ -80,10 +99,32 @@ def test_lr_sl2_is_clebsch_gordan():
 
 
 def test_lr_symmetry():
-    weights = _dominant_range(3, 2)
+    # the fold is the same whichever factor is walked: one cache entry
+    # serves a pair and its reverse
+    weights = [w.to_parts() for w in _dominant_range(3, 2)]
     for a in weights:
         for b in weights:
             assert _klimyk(a, b) == _klimyk(b, a)
+
+
+def test_lr_reverse_pair_shares_one_fold():
+    a, b = Weight(4, (3, 0, 2)), Weight(4, (1, 2, 0))
+    forward = lr_coefficients(a, b)
+    before = cache_info()["_lr_cached"]
+    assert lr_coefficients(b, a) == forward
+    assert schur_positive((b, a), (a, b)) and schur_positive((a, b), (b, a))
+    after = cache_info()["_lr_cached"]
+    # one hit for lr_coefficients, two for each schur_positive; no miss
+    assert after == {**before, "hits": before["hits"] + 5}
+
+
+def test_lr_failing_pair_is_never_cached():
+    before = cache_info()["_lr_cached"]
+    for bad in (Weight(3, (-1, 2)), Weight(2, (1,))):
+        for pair in ((bad, Weight(3, (1, 0))), (Weight(3, (1, 0)), bad)):
+            with pytest.raises(ValueError):
+                lr_coefficients(*pair)
+    assert cache_info()["_lr_cached"] == before
 
 
 def test_lr_validation():
@@ -148,7 +189,12 @@ def test_schur_positive_requires_same_total():
         (
             (Weight(2, (1,)), Weight(2, (0,))),
             (Weight(3, (1, 0)), Weight.zero(3)),
-            "pairs must share the same total weight, got (1) vs (1,0)",
+            "rank mismatch: sl_2 vs sl_3",
+        ),
+        (
+            (Weight(3, (1, 0)), Weight(3, (0, 1))),
+            (Weight(4, (1, 0, 0)), Weight(4, (0, 1, 0))),
+            "rank mismatch: sl_3 vs sl_4",
         ),
         (
             (Weight(2, (1,)), Weight(3, (1, 0))),
@@ -166,7 +212,13 @@ def test_schur_positive_requires_same_total():
             "tensor factors must be dominant, got (3,-1)",
         ),
     ],
-    ids=["total across ranks", "rank", "high not dominant", "low not dominant"],
+    ids=[
+        "total across ranks",
+        "rank across pairs",
+        "rank",
+        "high not dominant",
+        "low not dominant",
+    ],
 )
 def test_schur_positive_error_messages(high, low, message):
     with pytest.raises(ValueError) as exc:
