@@ -71,7 +71,6 @@ def cache_info() -> dict[str, dict[str, int]]:
         fusion._build_irrep,
         tensor._lr_cached,
         typea._orbit_parts,
-        typea._orbit_cached,
         typea._weyl_dim_parts,
         typea._dominant_mults_by_parts,
     )

@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .dyck import LatticePoint, dominant_points
 from .tensor import DecompositionMap, lr_coefficients
-from .typea import Weight, _same_rank, weight_multiplicities
+from .typea import Weight, _dominant, exact_ints, weight_multiplicities
 
 __all__ = [
     "sl2_mults",
@@ -42,6 +42,7 @@ __all__ = [
 def sl2_mults(m1: int, m2: int) -> DecompositionMap:
     """V(m1 w) (x) V(m2 w) for sl_2: one copy of V((m1+m2-2l) w) for each
     0 <= l <= min(m1, m2)."""
+    m1, m2 = exact_ints((m1, m2), "sl_2 coordinates")
     if m1 < 0 or m2 < 0:
         raise ValueError(f"coordinates must be nonnegative, got ({m1}, {m2})")
     return DecompositionMap(
@@ -50,6 +51,7 @@ def sl2_mults(m1: int, m2: int) -> DecompositionMap:
 
 
 def _sorted_rect_params(n: int, i: int, m_i: int, j: int, m_j: int):
+    i, m_i, j, m_j = exact_ints((i, m_i, j, m_j), "rectangle parameters")
     if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
         raise ValueError(f"fundamental indices must lie in 1..{n - 1}, got {i}, {j}")
     if m_i < 0 or m_j < 0:
@@ -121,11 +123,10 @@ def pieri_row(lam: Weight, k: int) -> DecompositionMap:
     """Constituents of V(lam) (x) V(k w_1): add a nonnegative vector
     (b_1, ..., b_n) with sum k and b_j <= m_{j-1} (j >= 2) to the parts of
     lam; multiplicity free."""
-    if not lam.is_dominant:
-        raise ValueError(f"pieri_row requires a dominant weight, got {lam}")
+    n = _dominant(lam)
+    (k,) = exact_ints((k,), "Pieri parameters")
     if k < 0:
         raise ValueError(f"row length must be nonnegative, got {k}")
-    n = lam.n
     parts = lam.to_parts()
     caps = [k] + [lam.coords[j - 2] for j in range(2, n + 1)]
     taus: dict[Weight, int] = {}
@@ -142,9 +143,8 @@ def pieri_column(lam: Weight, j: int) -> DecompositionMap:
     """Constituents of V(lam) (x) V(w_j): choose 1 <= b_1 < ... < b_j <= n
     with m_{b_i - 1} != 0 whenever b_{i-1} != b_i - 1 (convention b_0 = 0),
     and add 1 to the parts of lam at those positions; multiplicity free."""
-    if not lam.is_dominant:
-        raise ValueError(f"pieri_column requires a dominant weight, got {lam}")
-    n = lam.n
+    n = _dominant(lam)
+    (j,) = exact_ints((j,), "Pieri parameters")
     if not 1 <= j <= n - 1:
         raise ValueError(f"column index must lie in 1..{n - 1}, got {j}")
     parts = lam.to_parts()
@@ -177,10 +177,7 @@ def is_much_greater(lambda1: Weight, lambda2: Weight) -> bool:
     through lambda2(h_beta) for all roots beta.  For dominant lambda2 the
     least of these is -lambda2(h_theta): theta - beta is a nonnegative sum of
     simple roots for every positive root beta."""
-    _same_rank(lambda1, lambda2)
-    for w in (lambda1, lambda2):
-        if not w.is_dominant:
-            raise ValueError(f"is_much_greater requires dominant weights, got {w}")
+    _dominant(lambda1, lambda2)
     return min(lambda1.coords) >= sum(lambda2.coords)
 
 
@@ -209,7 +206,7 @@ def _is_row_or_column(w: Weight) -> bool:
 
 def proven_regime(lambda1: Weight, lambda2: Weight) -> str | None:
     """Name of a proven regime covering the (unordered) pair, or None."""
-    _same_rank(lambda1, lambda2)
+    _dominant(lambda1, lambda2)
     if lambda1.n == 2:
         return "sl2"
     if _is_rectangular(lambda1) and _is_rectangular(lambda2):

@@ -35,7 +35,8 @@ from .typea import (
     Root,
     Weight,
     _check_rank,
-    _same_rank,
+    _dominant,
+    _new_object,
     _weight,
     exact_ints,
     positive_root_index,
@@ -166,19 +167,13 @@ def _root_pairings(weight: Weight) -> tuple[int, ...]:
 
 def bounds_from_pair(lambda1: Weight, lambda2: Weight) -> BoundVector:
     """a_alpha = min(lambda1(h_alpha), lambda2(h_alpha))."""
-    _same_rank(lambda1, lambda2)
-    for w in (lambda1, lambda2):
-        if not w.is_dominant:
-            raise ValueError(f"bounds_from_pair requires dominant weights, got {w}")
-    vals = tuple(map(min, _root_pairings(lambda1), _root_pairings(lambda2)))
-    return BoundVector(lambda1.n, vals)
+    n = _dominant(lambda1, lambda2)
+    return BoundVector(n, tuple(map(min, _root_pairings(lambda1), _root_pairings(lambda2))))
 
 
 def bounds_from_weight(weight: Weight) -> BoundVector:
     """a_alpha = weight(h_alpha) for a single dominant weight."""
-    if not weight.is_dominant:
-        raise ValueError(f"bounds_from_weight requires a dominant weight, got {weight}")
-    return BoundVector(weight.n, _root_pairings(weight))
+    return BoundVector(_dominant(weight), _root_pairings(weight))
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,6 +329,8 @@ def lattice_points(bounds: BoundVector) -> list[LatticePoint]:
     with ub >= 0: the bounds are nonnegative, and a walk only takes a value
     up to the least slack of the inequalities (or groups) it touches, so
     every slack is nonnegative whenever it goes one coordinate deeper."""
+    if not isinstance(bounds, BoundVector):
+        raise TypeError(f"expected a BoundVector, got {type(bounds).__name__}")
     n = bounds.n
     if n == 2:
         out = [(v,) for v in range(bounds.values[0] + 1)]
@@ -360,7 +357,6 @@ def lattice_points(bounds: BoundVector) -> list[LatticePoint]:
     return out
 
 
-_new_object = object.__new__
 _set_n = LatticePoint.n.__set__
 _set_exps = LatticePoint.exps.__set__
 
@@ -382,11 +378,11 @@ def dominant_points(
     """Lattice points s of the pair polytope whose shifted weight
     lambda1 + lambda2 - wt(s) is dominant, each with that weight.  These are
     the candidates bounding the highest-weight points from above."""
-    total = lambda1 + lambda2
-    n = total.n
-    cols = tuple(zip(total.coords, _root_weight_columns(n)))
+    bounds = bounds_from_pair(lambda1, lambda2)
+    n = bounds.n
+    cols = tuple(zip((lambda1 + lambda2).coords, _root_weight_columns(n)))
     out = []
-    for pt in lattice_points(bounds_from_pair(lambda1, lambda2)):
+    for pt in lattice_points(bounds):
         exps = pt.exps
         tau = [t - sum(map(mul, exps, col)) for t, col in cols]
         if min(tau) >= 0:

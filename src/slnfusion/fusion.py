@@ -241,8 +241,6 @@ class ExplicitModule:
 def build_irrep(lam: Weight, cap: int = DEFAULT_DIM_CAP) -> ExplicitModule:
     """Construct V(lam) explicitly; refuses modules larger than `cap`.
     Modules are cached by `lam` alone, whatever cap admitted them."""
-    if not lam.is_dominant:
-        raise ValueError(f"build_irrep requires a dominant weight, got {lam}")
     dim = weyl_dim(lam)
     if dim > cap:
         raise DimensionCapError(
@@ -482,6 +480,9 @@ def fusion_graded(
       that dimension it holds all of F_s(mu), and every further insert
       would be rejected.  Dominant weights still run to their tensor
       weight dimension, as the pass has no smaller bound for them."""
+    for m in (m1, m2):
+        if not isinstance(m, ExplicitModule):
+            raise TypeError(f"expected an ExplicitModule, got {type(m).__name__}")
     for c in (c1, c2):
         if not isinstance(c, numbers.Rational):
             raise ValueError(f"evaluation points must be exact rationals, got {c!r}")

@@ -21,7 +21,7 @@ from operator import le, sub
 from .cases import proven_regime
 from .dyck import BoundVector, _root_pairings, bounds_from_pair
 from .tensor import DecompositionMap, lr_coefficients, schur_positive
-from .typea import Weight, _new_object, _parts, _same_rank, _set_attr, _weight, weyl_dim
+from .typea import Weight, _dominant, _new_object, _parts, _set_attr, _weight, weyl_dim
 
 __all__ = [
     "WeightPair",
@@ -44,10 +44,7 @@ class WeightPair:
     second: Weight
 
     def __post_init__(self):
-        _same_rank(self.first, self.second)
-        for w in (self.first, self.second):
-            if not w.is_dominant:
-                raise ValueError(f"pair components must be dominant, got {w}")
+        _dominant(self.first, self.second)
         if self.second.to_parts() > self.first.to_parts():
             a, b = self.second, self.first
             object.__setattr__(self, "first", a)
@@ -87,9 +84,7 @@ def _pair(first: Weight, second: Weight) -> WeightPair:
 def enumerate_pairs(lam: Weight) -> list[WeightPair]:
     """All unordered dominant pairs summing to lam, largest first component
     first."""
-    n = _same_rank(lam)
-    if not lam.is_dominant:
-        raise ValueError(f"expected a dominant weight, got {lam}")
+    n = _dominant(lam)
     # each unordered pair once: as (c, lam - c) with the larger parts first
     coords, found = lam.coords, []
     for c in itertools.product(*(range(m + 1) for m in coords)):
@@ -117,9 +112,7 @@ def order_leq(pair_a: WeightPair, pair_b: WeightPair) -> bool:
 def maximal_pair(lam: Weight) -> WeightPair:
     """The unique maximal pair: coordinates are halved, with odd coordinates
     rounded down/up alternately along the odd positions."""
-    _same_rank(lam)
-    if not lam.is_dominant:
-        raise ValueError(f"expected a dominant weight, got {lam}")
+    n = _dominant(lam)
     half = []
     odd_seen = 0
     for m in lam.coords:
@@ -129,7 +122,7 @@ def maximal_pair(lam: Weight) -> WeightPair:
             odd_seen += 1
             # j-th odd coordinate gets (m + (-1)^j) / 2
             half.append((m + (-1) ** odd_seen) // 2)
-    mu = Weight(lam.n, half)
+    mu = Weight(n, half)
     return WeightPair(mu, lam - mu)
 
 

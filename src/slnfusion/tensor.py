@@ -27,10 +27,10 @@ from operator import add, lt
 from .typea import (
     Weight,
     _check_rank,
+    _dominant,
     _dominant_mults_by_parts,
     _orbit_parts,
     _parts,
-    _same_rank,
     _weight,
     _weyl_dim_parts,
     exact_ints,
@@ -153,11 +153,8 @@ def _lr_cached(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int
 
 
 def _fold(lambda1: Weight, lambda2: Weight) -> dict[tuple[int, ...], int]:
-    """The cached fold of two weights of one rank, checked dominant first
-    and looked up with the larger coordinates first."""
-    for w in (lambda1, lambda2):
-        if min(w.coords) < 0:
-            raise ValueError(f"tensor factors must be dominant, got {w}")
+    """The cached fold of two dominant weights of one rank, looked up with
+    the larger coordinates first."""
     a, b = lambda1.coords, lambda2.coords
     return _lr_cached(lambda1.n, a, b) if a >= b else _lr_cached(lambda1.n, b, a)
 
@@ -165,13 +162,13 @@ def _fold(lambda1: Weight, lambda2: Weight) -> dict[tuple[int, ...], int]:
 def lr_coefficients(lambda1: Weight, lambda2: Weight) -> DecompositionMap:
     """Multiplicities of every irreducible constituent of
     V(lambda1) (x) V(lambda2), as a DecompositionMap."""
-    _same_rank(lambda1, lambda2)
+    n = _dominant(lambda1, lambda2)
     raw = _fold(lambda1, lambda2)
     # A constituent's parts are `key - key[-1] - rho`, so sorting by
     # `key - key[-1]` sorts by parts: report order.  Each key is strictly
     # decreasing, so each coordinate is a nonnegative int.
     out = object.__new__(DecompositionMap)
-    out.n = n = lambda1.n
+    out.n = n
     out._entries = {
         _weight(n, tuple(a - b - 1 for a, b in zip(key, key[1:]))): raw[key]
         for key in sorted(raw, key=lambda k: [x - k[-1] for x in k], reverse=True)
@@ -196,7 +193,7 @@ def schur_positive(
     lambda1 + lambda2, so pairs of one total share one set of keys."""
     h1, h2 = pair_high
     l1, l2 = pair_low
-    n = _same_rank(h1, h2, l1, l2)
+    n = _dominant(h1, h2, l1, l2)
     high = tuple(map(add, h1.coords, h2.coords))
     low = tuple(map(add, l1.coords, l2.coords))
     if high != low:

@@ -77,6 +77,7 @@ class Weight:
     def fundamental(cls, n: int, k: int) -> "Weight":
         """omega_k, 1 <= k <= n-1."""
         _check_rank(n)
+        (k,) = exact_ints((k,), "fundamental weight index")
         if not 1 <= k <= n - 1:
             raise ValueError(f"fundamental weight index must satisfy 1 <= k <= {n - 1}, got {k}")
         return cls(n, tuple(1 if i == k else 0 for i in range(1, n)))
@@ -147,6 +148,16 @@ def _same_rank(*weights) -> int:
     for w in weights:
         if w.n != n:
             raise ValueError(f"rank mismatch: sl_{n} vs sl_{w.n}")
+    return n
+
+
+def _dominant(*weights) -> int:
+    """The rank n shared by `weights`, as `_same_rank` checks it, once each
+    of them is dominant: ValueError naming the first that is not."""
+    n = _same_rank(*weights)
+    for w in weights:
+        if not w.is_dominant:
+            raise ValueError(f"expected a dominant weight, got {w}")
     return n
 
 
@@ -227,7 +238,7 @@ def positive_root_index(root: Root) -> int:
 
 def pairing(weight: Weight, root: Root) -> int:
     """Evaluation weight(h_alpha) = m_i + ... + m_j on the coroot of alpha_{i,j}."""
-    if weight.n != root.n:
+    if _same_rank(weight) != root.n:
         raise ValueError(f"rank mismatch: weight for sl_{weight.n}, root for sl_{root.n}")
     return sum(weight.coords[root.i - 1 : root.j])
 
@@ -251,11 +262,6 @@ def simple_root_weight(n: int, k: int) -> Weight:
 # ---------------------------------------------------------------------------
 
 
-def _require_dominant(weight: Weight, what: str) -> None:
-    if not weight.is_dominant:
-        raise ValueError(f"{what} requires a dominant weight, got {weight}")
-
-
 @lru_cache(maxsize=None)
 def _orbit_parts(q: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     # The Weyl orbit of dominant parts q: each permutation of q once, in no
@@ -263,23 +269,18 @@ def _orbit_parts(q: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(set(itertools.permutations(q)))
 
 
-@lru_cache(maxsize=None)
-def _orbit_cached(weight: Weight) -> tuple[Weight, ...]:
-    orbit = [Weight.from_parts(weight.n, q) for q in _orbit_parts(weight.to_parts())]
-    orbit.sort(key=lambda w: w.to_parts(), reverse=True)
-    return tuple(orbit)
-
-
 def weyl_orbit(weight: Weight) -> tuple[Weight, ...]:
     """Full Weyl orbit of a dominant weight, each element once, sorted
     descending by parts (the dominant element comes first)."""
-    _require_dominant(weight, "weyl_orbit")
-    return _orbit_cached(weight)
+    n = _dominant(weight)
+    orbit = [Weight.from_parts(n, q) for q in _orbit_parts(weight.to_parts())]
+    orbit.sort(key=Weight.to_parts, reverse=True)
+    return tuple(orbit)
 
 
 def weyl_dim(weight: Weight) -> int:
     """Dimension of the irreducible module V(weight), by the Weyl formula."""
-    _require_dominant(weight, "weyl_dim")
+    _dominant(weight)
     return _weyl_dim_parts(weight.to_parts())
 
 
@@ -309,7 +310,7 @@ def _weyl_dim_parts(parts: tuple[int, ...]) -> int:
 def root_coordinates(weight: Weight) -> tuple[Fraction, ...]:
     """Coefficients (c_1, ..., c_{n-1}) expressing the weight over the simple
     roots; rational in general, integral exactly on the root lattice."""
-    n = weight.n
+    n = _same_rank(weight)
     parts = weight.to_parts()
     total = sum(parts)
     coords = []
@@ -341,7 +342,7 @@ def root_lattice_height(weight: Weight) -> int:
     The coefficients c_k = pref_k - k * total / n (see `root_coordinates`),
     total the sum of the parts, are all integral iff n divides total =
     sum_k k m_k; the sum itself is `_height`."""
-    n = weight.n
+    n = _same_rank(weight)
     coords = weight.coords
     if sum(k * c for k, c in enumerate(coords, 1)) % n:
         raise ValueError(f"{weight} is not in the root lattice")
@@ -400,17 +401,8 @@ def _dominant_mults_by_parts(n: int, lam_parts: tuple[int, ...]) -> dict[tuple[i
     eps_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
 
     dominants = _dominant_parts_below(lam_parts)
-    lam_pref = list(itertools.accumulate(lam_parts))
-
-    def level(q: tuple[int, ...]) -> int:
-        acc = 0
-        pref = 0
-        for k in range(n - 1):
-            pref += q[k]
-            acc += lam_pref[k] - pref
-        return acc
-
-    dominants.sort(key=level)
+    # by the height of lambda - q: a constant minus the sum of q's prefix sums
+    dominants.sort(key=lambda q: -sum(itertools.accumulate(q)))
     mults: dict[tuple[int, ...], int] = {lam_parts: 1}
 
     for q in dominants:
@@ -437,16 +429,14 @@ def _dominant_mults_by_parts(n: int, lam_parts: tuple[int, ...]) -> dict[tuple[i
 
 def dominant_weight_multiplicities(weight: Weight) -> dict[Weight, int]:
     """Multiplicities of the dominant weights of V(weight)."""
-    _require_dominant(weight, "dominant_weight_multiplicities")
-    raw = _dominant_mults_by_parts(weight.n, weight.to_parts())
-    return {Weight.from_parts(weight.n, q): m for q, m in raw.items()}
+    n = _dominant(weight)
+    raw = _dominant_mults_by_parts(n, weight.to_parts())
+    return {Weight.from_parts(n, q): m for q, m in raw.items()}
 
 
 def weight_multiplicities(weight: Weight) -> dict[Weight, int]:
     """The full weight diagram of V(weight): every weight with its exact
     multiplicity, extended over each Weyl orbit."""
-    _require_dominant(weight, "weight_multiplicities")
-    raw = _dominant_mults_by_parts(weight.n, weight.to_parts())
-    return {
-        Weight.from_parts(weight.n, perm): m for q, m in raw.items() for perm in _orbit_parts(q)
-    }
+    n = _dominant(weight)
+    raw = _dominant_mults_by_parts(n, weight.to_parts())
+    return {Weight.from_parts(n, perm): m for q, m in raw.items() for perm in _orbit_parts(q)}

@@ -210,7 +210,6 @@ def test_cache_info_counts_a_repeated_build():
         "_build_irrep",
         "_lr_cached",
         "_orbit_parts",
-        "_orbit_cached",
         "_weyl_dim_parts",
         "_dominant_mults_by_parts",
     }

@@ -204,12 +204,12 @@ def test_schur_positive_requires_same_total():
         (
             (Weight(3, (2, -1)), Weight(3, (0, 2))),
             (Weight(3, (2, 1)), Weight.zero(3)),
-            "tensor factors must be dominant, got (2,-1)",
+            "expected a dominant weight, got (2,-1)",
         ),
         (
             (Weight(3, (2, 1)), Weight.zero(3)),
             (Weight(3, (3, -1)), Weight(3, (-1, 2))),
-            "tensor factors must be dominant, got (3,-1)",
+            "expected a dominant weight, got (3,-1)",
         ),
     ],
     ids=[
