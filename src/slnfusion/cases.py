@@ -140,29 +140,21 @@ def pieri_row(lam: Weight, k: int) -> DecompositionMap:
 
 
 def pieri_column(lam: Weight, j: int) -> DecompositionMap:
-    """Constituents of V(lam) (x) V(w_j): choose 1 <= b_1 < ... < b_j <= n
-    with m_{b_i - 1} != 0 whenever b_{i-1} != b_i - 1 (convention b_0 = 0),
-    and add 1 to the parts of lam at those positions; multiplicity free."""
+    """Constituents of V(lam) (x) V(w_j), the vertical strips: add 1 to j
+    distinct parts of lam and keep each result whose parts stay weakly
+    decreasing; multiplicity free."""
     n = _dominant(lam)
     (j,) = exact_ints((j,), "Pieri parameters")
     if not 1 <= j <= n - 1:
         raise ValueError(f"column index must lie in 1..{n - 1}, got {j}")
     parts = lam.to_parts()
     taus: dict[Weight, int] = {}
-    for combo in itertools.combinations(range(1, n + 1), j):
-        prev = 0
-        ok = True
+    for combo in itertools.combinations(range(n), j):
+        strip = list(parts)
         for b in combo:
-            if prev != b - 1 and lam.coords[b - 2] == 0:
-                ok = False
-                break
-            prev = b
-        if not ok:
-            continue
-        new_parts = list(parts)
-        for b in combo:
-            new_parts[b - 1] += 1
-        taus[Weight.from_parts(n, tuple(new_parts))] = 1
+            strip[b] += 1
+        if all(x >= y for x, y in zip(strip, strip[1:])):
+            taus[Weight.from_parts(n, strip)] = 1
     return DecompositionMap(n, taus)
 
 
@@ -199,9 +191,8 @@ def _is_rectangular(w: Weight) -> bool:
 
 
 def _is_row_or_column(w: Weight) -> bool:
-    if w.is_zero or w.coords[0] > 0 and not any(w.coords[1:]):
-        return True  # k * omega_1
-    return sum(w.coords) == 1  # omega_j
+    # k * omega_1 (k >= 0, as w is dominant) or omega_j
+    return not any(w.coords[1:]) or sum(w.coords) == 1
 
 
 def proven_regime(lambda1: Weight, lambda2: Weight) -> str | None:
@@ -269,6 +260,23 @@ def _dominant_range(n: int, coord_max: int) -> list[Weight]:
     ]
 
 
+def _check_limits(**limits) -> None:
+    """ValueError unless n_max and each entry of a nonempty n_values are
+    integers >= 2 and coord_max, m_max and k_max are integers >= 0, the
+    bounds the CLI enforces as usage errors; within them no sweep is
+    empty."""
+    for name, value in limits.items():
+        least = 2 if name in ("n_max", "n_values") else 0
+        values = value if name == "n_values" else (value,)
+        if not (
+            isinstance(values, (tuple, list))
+            and values
+            and all(isinstance(v, int) and v >= least for v in values)
+        ):
+            what = "a nonempty tuple of integers" if name == "n_values" else "an integer"
+            raise ValueError(f"{name} must be {what} >= {least}, got {value!r}")
+
+
 # the ranges each regime's sweep reads
 CASE_RANGES = {
     "sl2": ("m_max",),
@@ -284,23 +292,32 @@ def verify_case(case: str, **ranges) -> list[CaseReport]:
     `CASE_RANGES[case]` (m_max 3, n_values (3, 4), coord_max 2 and k_max 3
     unless given), and return one CaseReport per comparison (two per tuple
     for the regimes that also carry a lattice-point presentation).  Any other
-    range raises ValueError."""
+    range, and a range out of the bounds of `_check_limits`, raises
+    ValueError before the sweep."""
     if case not in CASE_RANGES:
         raise ValueError(f"unknown case tag {case!r}; expected one of {', '.join(CASE_RANGES)}")
     unread = [name for name in ranges if name not in CASE_RANGES[case]]
     if unread:
         reads = ", ".join(CASE_RANGES[case])
         raise ValueError(f"case {case} reads only {reads}, not {', '.join(unread)}")
+    _check_limits(**ranges)
     m_max, n_values = ranges.get("m_max", 3), ranges.get("n_values", (3, 4))
     coord_max, k_max = ranges.get("coord_max", 2), ranges.get("k_max", 3)
     reports: list[CaseReport] = []
 
+    def compare(params, formula, first, second, points=None):
+        # one oracle call per tuple, shared with its lattice-point presentation
+        oracle = lr_coefficients(first, second)
+        reports.append(CaseReport(case, params, formula, oracle))
+        if points is not None:
+            pts = _points_as_map(first.n, points)
+            reports.append(CaseReport(f"{case}-points", params, pts, oracle))
+
     if case == "sl2":
         for m1 in range(m_max + 1):
             for m2 in range(m1 + 1):
-                a = sl2_mults(m1, m2)
-                c = lr_coefficients(Weight(2, (m1,)), Weight(2, (m2,)))
-                reports.append(CaseReport("sl2", {"m1": m1, "m2": m2}, a, c))
+                lam1, lam2 = Weight(2, (m1,)), Weight(2, (m2,))
+                compare({"m1": m1, "m2": m2}, sl2_mults(m1, m2), lam1, lam2)
 
     elif case == "rectangular":
         for n in n_values:
@@ -308,16 +325,12 @@ def verify_case(case: str, **ranges) -> list[CaseReport]:
                 for j in range(i, n):
                     for m_i in range(m_max + 1):
                         for m_j in range(m_max + 1):
-                            params = {"n": n, "i": i, "m_i": m_i, "j": j, "m_j": m_j}
-                            c = lr_coefficients(
+                            compare(
+                                {"n": n, "i": i, "m_i": m_i, "j": j, "m_j": m_j},
+                                rect_mults_formula(n, i, m_i, j, m_j),
                                 m_i * Weight.fundamental(n, i),
                                 m_j * Weight.fundamental(n, j),
-                            )
-                            a = rect_mults_formula(n, i, m_i, j, m_j)
-                            reports.append(CaseReport("rectangular", params, a, c))
-                            pts = _points_as_map(n, rect_hw_points(n, i, m_i, j, m_j))
-                            reports.append(
-                                CaseReport("rectangular-points", params, pts, c)
+                                rect_hw_points(n, i, m_i, j, m_j),
                             )
 
     elif case == "pieri-row":
@@ -325,31 +338,23 @@ def verify_case(case: str, **ranges) -> list[CaseReport]:
             for lam in _dominant_range(n, coord_max):
                 for k in range(k_max + 1):
                     params = {"n": n, "lam": lam.to_json(), "k": k}
-                    a = pieri_row(lam, k)
-                    c = lr_coefficients(lam, k * Weight.fundamental(n, 1))
-                    reports.append(CaseReport("pieri-row", params, a, c))
+                    compare(params, pieri_row(lam, k), lam, k * Weight.fundamental(n, 1))
 
     elif case == "pieri-column":
         for n in n_values:
             for lam in _dominant_range(n, coord_max):
                 for j in range(1, n):
                     params = {"n": n, "lam": lam.to_json(), "j": j}
-                    a = pieri_column(lam, j)
-                    c = lr_coefficients(lam, Weight.fundamental(n, j))
-                    reports.append(CaseReport("pieri-column", params, a, c))
+                    compare(params, pieri_column(lam, j), lam, Weight.fundamental(n, j))
 
     else:  # large
         for n in n_values:
             grid = _dominant_range(n, coord_max)
             for lam1 in grid:
                 for lam2 in grid:
-                    if not is_much_greater(lam1, lam2):
-                        continue
-                    params = {"n": n, "lambda1": lam1.to_json(), "lambda2": lam2.to_json()}
-                    c = lr_coefficients(lam1, lam2)
-                    a = large_case_mults(lam1, lam2)
-                    reports.append(CaseReport("large", params, a, c))
-                    pts = _points_as_map(n, dominant_points(lam1, lam2))
-                    reports.append(CaseReport("large-points", params, pts, c))
+                    if is_much_greater(lam1, lam2):
+                        params = {"n": n, "lambda1": lam1.to_json(), "lambda2": lam2.to_json()}
+                        formula = large_case_mults(lam1, lam2)
+                        compare(params, formula, lam1, lam2, dominant_points(lam1, lam2))
 
     return reports

@@ -59,15 +59,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DyckPath:
-    """A successor-rule sequence of positive roots."""
+    """A successor-rule sequence of positive roots, stored as a tuple;
+    TypeError for a step that is not a Root."""
 
     steps: tuple[Root, ...]
 
     def __post_init__(self):
-        if not self.steps:
+        steps = tuple(self.steps)
+        for r in steps:
+            if not isinstance(r, Root):
+                raise TypeError(f"expected a Root, got {type(r).__name__}")
+        if not steps:
             raise ValueError("a path needs at least one step")
-        n = self.steps[0].n
-        for a, b in zip(self.steps, self.steps[1:]):
+        object.__setattr__(self, "steps", steps)
+        n = steps[0].n
+        for a, b in zip(steps, steps[1:]):
             if b.n != n:
                 raise ValueError("path steps must share one rank")
             if not ((b.i, b.j) == (a.i + 1, a.j) or (b.i, b.j) == (a.i, a.j + 1)):
@@ -152,6 +158,8 @@ class BoundVector:
         object.__setattr__(self, "values", values)
 
     def leq(self, other: "BoundVector") -> bool:
+        if not isinstance(other, BoundVector):
+            raise TypeError(f"expected a BoundVector, got {type(other).__name__}")
         if self.n != other.n:
             raise ValueError(f"rank mismatch: sl_{self.n} vs sl_{other.n}")
         return all(a <= b for a, b in zip(self.values, other.values))

@@ -20,7 +20,9 @@ F_s(mu) = sum_k f_k F_s(mu + alpha_k) + (f_k (x) t) F_{s-1}(mu + alpha_k),
 computed for each degree by one pass down the weights in order of height
 (`_lowering_pass`, which also builds V(lambda) as such a degree 0).  The
 pass reads a filtration as a list of operators (alpha_k, x, lag): x acts on
-the rows that degree s - lag added at mu + alpha_k.
+the rows that degree s - lag added at mu + alpha_k, held in one history
+list, history[lag].  Both builders get the pass's steps from `_steps`,
+which holds the one orbit stop below.
 Modulo F_{s-1}, f_k (x) t acts on F_{s-1} as a nonzero multiple of
 1 (x) f_k (see `fusion_graded`), so the filtration does not depend on the
 points, and they are only checked to be distinct.
@@ -65,6 +67,7 @@ from .typea import (
     _check_rank,
     _height,
     _parts,
+    _same_rank,
     _weight,
     dominant_weight_multiplicities,
     exact_ints,
@@ -118,31 +121,53 @@ def _tensor_action(cols1, cols2, vec: Mapping) -> dict:
     return {j: c for j, c in out.items() if c}
 
 
-def _lowering_pass(steps, dims, spaces, rows, prev_rows) -> None:
-    """One pass down the weights: for each (mu, top, sources) in `steps` (by
-    height, so every source weight nu = mu + alpha_k comes before mu),
-    insert into spaces[mu] the images x rows[nu] (lag 0) or x prev_rows[nu]
-    (lag 1) under `_tensor_action`, for each (nu, x, lag) in sources (x is a
-    (cols1, cols2) pair), until spaces[mu] reaches its target dimension.
-    The target is dims[mu] when top is None, else the dimension that
-    spaces[top] has at that point: top, the dominant weight of mu's orbit,
-    comes earlier in `steps`, and dim spaces[mu] ends equal to it (see
-    `fusion_graded`), so every insert the stop skips would be rejected.
-    The rows it stores are appended to rows[mu].  Row lists of weights
-    already passed are complete, so rows that a later insert at their own
-    weight reduces in place still span what was inserted there.  Weights
-    here are the coordinate tuples `Weight.coords` that key `dims`, `spaces`
-    and the row dicts; the pass only hashes and compares them."""
-    for mu, top, sources in steps:
+def _steps(order, operators, spaces) -> list:
+    """The steps (mu, stop, sources) of `_lowering_pass` over the weights
+    `order`, by height: the sources are the (nu, x, lag) for each operator
+    (alpha, x, lag) with nu = mu + alpha in `spaces`, and the stop is None
+    for a dominant mu, else the dominant weight of mu's orbit (its parts
+    sorted, as coordinates), the one stop rule of both builders."""
+    steps = []
+    for mu in order:
+        stop = None
+        if min(mu) < 0:
+            q = sorted(_parts(mu), reverse=True)
+            stop = tuple(map(sub, q, q[1:]))
+        sources = [
+            (nu, x, lag)
+            for alpha, x, lag in operators
+            if (nu := tuple(map(add, mu, alpha))) in spaces
+        ]
+        steps.append((mu, stop, sources))
+    return steps
+
+
+def _lowering_pass(steps, dims, spaces, history) -> None:
+    """One pass down the weights: for each (mu, stop, sources) of `_steps`,
+    insert into spaces[mu] the images x history[lag][nu] under
+    `_tensor_action`, for each (nu, x, lag) in sources (x is a (cols1, cols2)
+    pair), until spaces[mu] reaches its target dimension.  history[lag]
+    holds the rows, by weight, that degree s - lag added, s the degree of
+    the pass, and the rows it stores are appended to history[0][mu].  The
+    target is dims[mu] for a dominant mu, else the dimension that
+    spaces[stop] has at that point: each span is a weight space of an
+    sl_n-module (see `fusion_graded`), so dim spaces[mu] ends equal to it,
+    and stop has smaller height, so the pass has finished it and every
+    insert the stop skips would be rejected.  Row lists of weights already
+    passed are complete, so rows that a later insert at their own weight
+    reduces in place still span what was inserted there.  Weights here are
+    the coordinate tuples `Weight.coords` that key `dims`, `spaces` and the
+    row dicts; the pass only hashes and compares them."""
+    for mu, stop, sources in steps:
         span = spaces[mu]
-        target = dims[mu] if top is None else spaces[top].dimension
+        target = dims[mu] if stop is None else spaces[stop].dimension
         if span.dimension == target:
             continue
-        fresh = rows.setdefault(mu, [])
+        fresh = history[0].setdefault(mu, [])
         images = (
             _tensor_action(*x, row)
             for nu, x, lag in sources
-            for row in (rows, prev_rows)[lag].get(nu, ())
+            for row in history[lag].get(nu, ())
         )
         for img in images:
             stored = span.insert(img)
@@ -258,10 +283,11 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
     with lam_k > 0.  The first factor is `_exterior_power(n, k)`; the second
     is built the same way, down to the line V(0), and only its f_k are read.
     The span is degree 0 of the filtration of `fusion_graded`: one
-    `_lowering_pass` with f_k alone over the weights of V(lam), and the
-    basis is the reduced echelon basis of each weight space.  Each f_k of
-    V(lam) is the tensor f_k restricted to that span, in that basis.  With
-    the exterior power leading the flat index, it gives small integral
+    `_lowering_pass` with f_k alone over the weights of V(lam), on the
+    steps of `_steps` (its orbit stop is dim V(lam)_mu = dim V(lam)_mu+),
+    and the basis is the reduced echelon basis of each weight space.  Each
+    f_k of V(lam) is the tensor f_k restricted to that span, in that basis.
+    With the exterior power leading the flat index, it gives small integral
     matrices on every module measured, which keeps the integer row
     reduction of `fusion_graded` cheap; and since `RationalRowBasis` keeps
     integral entries as ints, the build itself runs in int arithmetic there,
@@ -290,13 +316,9 @@ def _build_irrep(lam: Weight) -> ExplicitModule:
         key=lambda w: (_height(n, tuple(map(sub, top, w))), [-p for p in _parts(w)]),
     )
     spaces = {w: RationalRowBasis() for w in order}
-    rows = {top: [spaces[top].insert({0: 1})]}
     # degree 0 alone: each f_k acts at lag 0, on the rows of this pass
-    steps = [
-        (mu, None, [(tuple(map(add, mu, alpha)), x, 0) for alpha, x in zip(alphas, actions)])
-        for mu in order
-    ]
-    _lowering_pass(steps, dims, spaces, rows, {})
+    steps = _steps(order, [(alpha, x, 0) for alpha, x in zip(alphas, actions)], spaces)
+    _lowering_pass(steps, dims, spaces, [{top: [spaces[top].insert({0: 1})]}])
 
     dim = weyl_dim(lam)
     total = sum(sp.dimension for sp in spaces.values())
@@ -344,8 +366,9 @@ def peel_character(char: Mapping[Weight, int]) -> DecompositionMap:
     A Weyl-invariant character is fixed by its dominant part, so no other
     weight is read or accepted: the keys must be dominant Weights of one
     rank, checked as `DecompositionMap` checks its entries.  The strip
-    repeatedly removes the dominant weights of V(top), top the maximal
-    remaining weight, and rejects a multiplicity driven negative."""
+    repeatedly removes the dominant weights of V(top), top the first
+    remaining weight in report order (the largest parts), and rejects a
+    multiplicity driven negative; it adds no key, so the order holds."""
     if not isinstance(char, Mapping):
         raise ValueError(f"a character must be a mapping, got {type(char).__name__}")
     keys = list(char)
@@ -359,7 +382,7 @@ def peel_character(char: Mapping[Weight, int]) -> DecompositionMap:
 
     found: dict[Weight, int] = {}
     while left:
-        top = max(left, key=lambda w: w.to_parts())
+        top = next(iter(left))
         mult = left[top]
         for nu, m in dominant_weight_multiplicities(top).items():
             val = left.get(nu, 0) - mult * m
@@ -391,6 +414,9 @@ class GradedDecomposition:
 
     def __post_init__(self):
         _check_rank(self.n)
+        if not isinstance(self.entries, Mapping):
+            kind = type(self.entries).__name__
+            raise ValueError(f"graded entries must be a mapping, got {kind}")
         for key in self.entries:
             if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], Weight)):
                 raise ValueError(
@@ -488,9 +514,7 @@ def fusion_graded(
             raise ValueError(f"evaluation points must be exact rationals, got {c!r}")
     if c1 == c2:
         raise ValueError(f"evaluation points must be distinct, got {c1} = {c2}")
-    if m1.n != m2.n:
-        raise ValueError(f"rank mismatch: sl_{m1.n} vs sl_{m2.n}")
-    n = m1.n
+    n = _same_rank(m1.highest, m2.highest)
     full = m1.dim * m2.dim
 
     # weights as coordinate tuples up to the dominant part handed to peel_character
@@ -505,42 +529,29 @@ def fusion_graded(
     reach = max(h for w, h in height.items() if min(w) >= 0)
     order = sorted((w for w in dims if height[w] <= reach), key=height.__getitem__)
     spaces = {w: IntegerRowSpan() for w in order}
-    maps = _lowering_maps(m1, m2)
-    # each non-dominant weight stops at the dimension of the dominant weight
-    # of its orbit (see the docstring): its parts sorted, as coordinates
-    steps = []
-    for mu in order:
-        stop = None
-        if min(mu) < 0:
-            q = sorted(_parts(mu), reverse=True)
-            stop = tuple(map(sub, q, q[1:]))
-        sources = [
-            (nu, x, lag) for alpha, x, lag in maps if (nu := tuple(map(add, mu, alpha))) in spaces
-        ]
-        steps.append((mu, stop, sources))
+    steps = _steps(order, _lowering_maps(m1, m2), spaces)
 
-    # Rows added in degrees s-1 and s, by weight.  A row gets f_k in the
+    # Rows added in degrees s and s-1, by weight.  A row gets f_k in the
     # degree it was added and 1 (x) f_k in the next one: f_k F_{s-1} and
     # (1 (x) f_k) F_{s-2} already lie in F_{s-1}.
-    prev_rows: dict[tuple[int, ...], list] = {}
-    new_rows = {top: [spaces[top].insert({0: 1})]}
+    history = [{top: [spaces[top].insert({0: 1})]}, {}]
     entries: dict[tuple[int, Weight], int] = {}
     total = 0
     degree = 0
     while total < full:
-        _lowering_pass(steps, dims, spaces, new_rows, prev_rows)
+        _lowering_pass(steps, dims, spaces, history)
         # the rows added to mu in this degree s span F_s(mu) modulo F_{s-1}(mu)
         char = {
-            _weight(n, mu): len(rows) for mu, rows in new_rows.items() if rows and min(mu) >= 0
+            _weight(n, mu): len(rows) for mu, rows in history[0].items() if rows and min(mu) >= 0
         }
         if not char:
             raise RuntimeError(
                 "degree filtration stalled before exhausting the tensor product"
             )
-        for tau, m in peel_character(char).items_sorted():
-            entries[(degree, tau)] = m
-            total += m * weyl_dim(tau)
-        prev_rows, new_rows = new_rows, {}
+        graded = peel_character(char)
+        entries.update(((degree, tau), m) for tau, m in graded.items_sorted())
+        total += graded.dimension()
+        history = [{}, *history[:-1]]
         degree += 1
 
     if total != full:

@@ -16,7 +16,7 @@ import functools
 import time
 from dataclasses import dataclass
 
-from .cases import _dominant_range, _points_as_map, proven_regime, verify_case
+from .cases import _check_limits, _dominant_range, _points_as_map, proven_regime, verify_case
 from .dyck import bounds_from_weight, dominant_points, lattice_points
 from .fusion import (
     DEFAULT_DIM_CAP,
@@ -108,7 +108,8 @@ def _check(*names: str):
 
 def _weights(n_max: int, coord_max: int) -> list[Weight]:
     """Every dominant weight of sl_2..sl_{n_max} with coordinates up to
-    `coord_max`."""
+    `coord_max`; ValueError for limits that `_check_limits` rejects."""
+    _check_limits(n_max=n_max, coord_max=coord_max)
     return [lam for n in range(2, n_max + 1) for lam in _dominant_range(n, coord_max)]
 
 
@@ -172,7 +173,7 @@ def check_large():
 
 
 @_check("ffol-count")
-def check_ffol(n_max: int = 4, coord_max: int = 2):
+def check_ffol(*, n_max: int, coord_max: int):
     """Lattice points of the weight's own bound vector count a basis of
     V(lam): |S| = weyl_dim."""
     weights = _weights(n_max, coord_max)
@@ -217,7 +218,7 @@ def check_fusion(dim_cap: int = DEFAULT_DIM_CAP):
 
 
 @_check("poset-axioms", "schur-positivity")
-def check_poset(n_max: int = 4, coord_max: int = 3):
+def check_poset(*, n_max: int, coord_max: int):
     """Criteria 8 and 9 in one pass over the posets of the sweep; both
     results report that pass's time.
 
@@ -283,7 +284,7 @@ def check_poset(n_max: int = 4, coord_max: int = 3):
 
 
 @_check("weyl-prediction")
-def check_weyl(n_max: int = 4, coord_max: int = 3, dim_cap: int = DEFAULT_DIM_CAP):
+def check_weyl(*, n_max: int, coord_max: int, dim_cap: int = DEFAULT_DIM_CAP):
     """Where the maximal pair lies in a proven regime, the truncated Weyl
     module prediction must equal the graded fusion collapse at that pair."""
     checked = 0
@@ -305,7 +306,10 @@ def run_all(
     coord_max: int = 3,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> list[CheckResult]:
-    """The full battery in acceptance order, one result per criterion."""
+    """The full battery in acceptance order, one result per criterion;
+    ValueError before any check for limits that `_check_limits` rejects, as
+    criteria 5 and 8-10 would sweep no weight."""
+    _check_limits(n_max=n_max, coord_max=coord_max)
     return [
         check_sl2(dim_cap=dim_cap),
         check_rectangular(),

@@ -123,10 +123,6 @@ class Weight:
     def is_dominant(self) -> bool:
         return min(self.coords) >= 0
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def to_parts(self) -> tuple[int, ...]:
         """Epsilon-coordinate representative normalized to last part 0."""
         return _parts(self.coords)

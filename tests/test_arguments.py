@@ -6,6 +6,9 @@ the other argument types fail with the same two exceptions."""
 import pytest
 
 from slnfusion import (
+    BoundVector,
+    DyckPath,
+    GradedDecomposition,
     Root,
     Weight,
     WeightPair,
@@ -28,13 +31,16 @@ from slnfusion import (
     proven_regime,
     rect_hw_points,
     rect_mults_formula,
+    run_all,
     schur_positive,
     sl2_mults,
+    verify_case,
     weight_multiplicities,
     weyl_character_prediction,
     weyl_dim,
     weyl_orbit,
 )
+from slnfusion import suite
 from slnfusion.typea import root_coordinates, root_lattice_height
 
 OK = Weight(3, (1, 0))
@@ -118,3 +124,80 @@ def test_other_argument_types_raise_type_error():
         fusion_graded(OK, 0, mod, 1)
     with pytest.raises(TypeError, match="^expected an ExplicitModule, got Weight$"):
         fusion_graded(mod, 0, OK, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BoundVector(3, (1, 1, 1)).leq((1, 1, 1)), "expected a BoundVector, got tuple"),
+        (lambda: DyckPath(((1, 1),)), "expected a Root, got tuple"),
+        (lambda: DyckPath((Root(3, 1, 1), (1, 2))), "expected a Root, got tuple"),
+    ],
+    ids=["BoundVector.leq", "DyckPath first step", "DyckPath second step"],
+)
+def test_a_tuple_in_place_of_a_bound_vector_or_root_raises_type_error(call, message):
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_a_path_stores_its_steps_as_a_tuple():
+    path = DyckPath([Root(3, 1, 1), Root(3, 1, 2)])
+    assert path.steps == (Root(3, 1, 1), Root(3, 1, 2))
+    assert path == DyckPath((Root(3, 1, 1), Root(3, 1, 2)))
+    assert hash(path) == hash(DyckPath((Root(3, 1, 1), Root(3, 1, 2))))
+
+
+@pytest.mark.parametrize("entries", [None, [((0, OK), 1)]], ids=["None", "list of pairs"])
+def test_graded_entries_that_are_not_a_mapping_raise_value_error(entries):
+    kind = type(entries).__name__
+    with pytest.raises(ValueError, match=f"^graded entries must be a mapping, got {kind}$"):
+        GradedDecomposition(3, entries)
+
+
+# limits outside the CLI's bounds, each of which would sweep nothing or fail
+# inside the sweep
+BAD_LIMITS = {
+    "n_max 1": {"n_max": 1},
+    "n_max float": {"n_max": 3.0},
+    "coord_max -1": {"coord_max": -1},
+    "coord_max str": {"coord_max": "2"},
+}
+BAD_RANGES = {
+    "large coord_max -1": ("large", {"coord_max": -1}),
+    "pieri-column n_values float": ("pieri-column", {"n_values": (3.0,)}),
+    "rectangular n_values empty": ("rectangular", {"n_values": ()}),
+    "rectangular n_values 1": ("rectangular", {"n_values": (3, 1)}),
+    "pieri-row n_values int": ("pieri-row", {"n_values": 3}),
+    "pieri-row k_max -1": ("pieri-row", {"k_max": -1}),
+    "sl2 m_max -1": ("sl2", {"m_max": -1}),
+    "sl2 m_max float": ("sl2", {"m_max": 2.0}),
+}
+LIMIT_MESSAGE = r"must be (an integer|a nonempty tuple of integers) >= [02], got "
+
+
+@pytest.mark.parametrize("limits", BAD_LIMITS.values(), ids=BAD_LIMITS)
+def test_run_all_rejects_bad_limits_before_any_check(monkeypatch, limits):
+    def unreached(**_):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(suite, "check_sl2", unreached)
+    with pytest.raises(ValueError, match=LIMIT_MESSAGE):
+        run_all(**limits)
+
+
+@pytest.mark.parametrize("check", ["check_ffol", "check_poset", "check_weyl"])
+def test_a_weight_sweep_check_rejects_bad_limits(check):
+    with pytest.raises(ValueError, match=LIMIT_MESSAGE):
+        getattr(suite, check)(n_max=1, coord_max=3)
+    # both limits are keyword-only and have no defaults: run_all sets them
+    with pytest.raises(TypeError):
+        getattr(suite, check)(n_max=3)
+    with pytest.raises(TypeError):
+        getattr(suite, check)(3, 1)
+
+
+@pytest.mark.parametrize("case, ranges", BAD_RANGES.values(), ids=BAD_RANGES)
+def test_verify_case_rejects_bad_ranges(case, ranges):
+    with pytest.raises(ValueError, match=LIMIT_MESSAGE):
+        verify_case(case, **ranges)
