@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .dyck import LatticePoint, dominant_points
 from .tensor import DecompositionMap, lr_coefficients
-from .typea import Weight, _dominant, exact_ints, weight_multiplicities
+from .typea import Weight, _check_limits, _check_rank, _dominant, exact_ints, weight_multiplicities
 
 __all__ = [
     "sl2_mults",
@@ -42,20 +42,16 @@ __all__ = [
 def sl2_mults(m1: int, m2: int) -> DecompositionMap:
     """V(m1 w) (x) V(m2 w) for sl_2: one copy of V((m1+m2-2l) w) for each
     0 <= l <= min(m1, m2)."""
-    m1, m2 = exact_ints((m1, m2), "sl_2 coordinates")
-    if m1 < 0 or m2 < 0:
-        raise ValueError(f"coordinates must be nonnegative, got ({m1}, {m2})")
+    m1, m2 = exact_ints((m1, m2), "sl_2 coordinates", 0)
     return DecompositionMap(
         2, {Weight(2, (m1 + m2 - 2 * l,)): 1 for l in range(min(m1, m2) + 1)}
     )
 
 
 def _sorted_rect_params(n: int, i: int, m_i: int, j: int, m_j: int):
-    i, m_i, j, m_j = exact_ints((i, m_i, j, m_j), "rectangle parameters")
-    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
-        raise ValueError(f"fundamental indices must lie in 1..{n - 1}, got {i}, {j}")
-    if m_i < 0 or m_j < 0:
-        raise ValueError(f"multiples must be nonnegative, got {m_i}, {m_j}")
+    _check_rank(n)
+    i, j = exact_ints((i, j), "fundamental indices", 1, n - 1)
+    m_i, m_j = exact_ints((m_i, m_j), "multiples", 0)
     if i > j:
         i, m_i, j, m_j = j, m_j, i, m_i
     return i, m_i, j, m_j
@@ -124,9 +120,7 @@ def pieri_row(lam: Weight, k: int) -> DecompositionMap:
     (b_1, ..., b_n) with sum k and b_j <= m_{j-1} (j >= 2) to the parts of
     lam; multiplicity free."""
     n = _dominant(lam)
-    (k,) = exact_ints((k,), "Pieri parameters")
-    if k < 0:
-        raise ValueError(f"row length must be nonnegative, got {k}")
+    (k,) = exact_ints((k,), "row length", 0)
     parts = lam.to_parts()
     caps = [k] + [lam.coords[j - 2] for j in range(2, n + 1)]
     taus: dict[Weight, int] = {}
@@ -144,9 +138,7 @@ def pieri_column(lam: Weight, j: int) -> DecompositionMap:
     distinct parts of lam and keep each result whose parts stay weakly
     decreasing; multiplicity free."""
     n = _dominant(lam)
-    (j,) = exact_ints((j,), "Pieri parameters")
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"column index must lie in 1..{n - 1}, got {j}")
+    (j,) = exact_ints((j,), "column index", 1, n - 1)
     parts = lam.to_parts()
     taus: dict[Weight, int] = {}
     for combo in itertools.combinations(range(n), j):
@@ -258,23 +250,6 @@ def _dominant_range(n: int, coord_max: int) -> list[Weight]:
         Weight(n, coords)
         for coords in itertools.product(range(coord_max + 1), repeat=n - 1)
     ]
-
-
-def _check_limits(**limits) -> None:
-    """ValueError unless n_max and each entry of a nonempty n_values are
-    integers >= 2 and coord_max, m_max and k_max are integers >= 0, the
-    bounds the CLI enforces as usage errors; within them no sweep is
-    empty."""
-    for name, value in limits.items():
-        least = 2 if name in ("n_max", "n_values") else 0
-        values = value if name == "n_values" else (value,)
-        if not (
-            isinstance(values, (tuple, list))
-            and values
-            and all(isinstance(v, int) and v >= least for v in values)
-        ):
-            what = "a nonempty tuple of integers" if name == "n_values" else "an integer"
-            raise ValueError(f"{name} must be {what} >= {least}, got {value!r}")
 
 
 # the ranges each regime's sweep reads

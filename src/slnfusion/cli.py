@@ -65,12 +65,9 @@ def _given(args, *names: str) -> dict:
 
 def _decomposition_lines(dm: DecompositionMap, title: str) -> list[str]:
     lines = [title, f"  {'tau':<16}{'mult':>6}{'dim':>8}"]
-    total = 0
     for tau, mult in dm.items_sorted():
-        d = weyl_dim(tau)
-        total += mult * d
-        lines.append(f"  {str(tau):<16}{mult:>6}{d:>8}")
-    lines.append(f"  total dimension {total}")
+        lines.append(f"  {str(tau):<16}{mult:>6}{weyl_dim(tau):>8}")
+    lines.append(f"  total dimension {dm.dimension()}")
     return lines
 
 

@@ -36,6 +36,7 @@ from .typea import (
     Weight,
     _check_rank,
     _dominant,
+    _expect,
     _new_object,
     _weight,
     exact_ints,
@@ -66,9 +67,7 @@ class DyckPath:
 
     def __post_init__(self):
         steps = tuple(self.steps)
-        for r in steps:
-            if not isinstance(r, Root):
-                raise TypeError(f"expected a Root, got {type(r).__name__}")
+        _expect(Root, *steps)
         if not steps:
             raise ValueError("a path needs at least one step")
         object.__setattr__(self, "steps", steps)
@@ -147,19 +146,16 @@ class BoundVector:
 
     def __post_init__(self):
         _check_rank(self.n)
-        values = exact_ints(self.values, "bounds")
+        values = exact_ints(self.values, "bounds", 0)
         expected = self.n * (self.n - 1) // 2
         if len(values) != expected:
             raise ValueError(
                 f"bound vector for sl_{self.n} needs {expected} entries, got {len(values)}"
             )
-        if any(v < 0 for v in values):
-            raise ValueError("bounds must be nonnegative")
         object.__setattr__(self, "values", values)
 
     def leq(self, other: "BoundVector") -> bool:
-        if not isinstance(other, BoundVector):
-            raise TypeError(f"expected a BoundVector, got {type(other).__name__}")
+        _expect(BoundVector, other)
         if self.n != other.n:
             raise ValueError(f"rank mismatch: sl_{self.n} vs sl_{other.n}")
         return all(a <= b for a, b in zip(self.values, other.values))
@@ -193,14 +189,12 @@ class LatticePoint:
 
     def __post_init__(self):
         _check_rank(self.n)
-        exps = exact_ints(self.exps, "exponents")
+        exps = exact_ints(self.exps, "exponents", 0)
         expected = self.n * (self.n - 1) // 2
         if len(exps) != expected:
             raise ValueError(
                 f"lattice point for sl_{self.n} needs {expected} exponents, got {len(exps)}"
             )
-        if exps and min(exps) < 0:
-            raise ValueError("exponents must be nonnegative")
         object.__setattr__(self, "exps", exps)
 
     @classmethod
@@ -208,9 +202,7 @@ class LatticePoint:
         _check_rank(n)
         exps = [0] * (n * (n - 1) // 2)
         for i, j, s in triples:
-            (s,) = exact_ints([s], "exponents")
-            if s < 0:
-                raise ValueError("exponents must be nonnegative")
+            (s,) = exact_ints((s,), "exponents", 0)
             exps[positive_root_index(Root(n, i, j))] += s
         return cls(n, tuple(exps))
 
@@ -337,8 +329,7 @@ def lattice_points(bounds: BoundVector) -> list[LatticePoint]:
     with ub >= 0: the bounds are nonnegative, and a walk only takes a value
     up to the least slack of the inequalities (or groups) it touches, so
     every slack is nonnegative whenever it goes one coordinate deeper."""
-    if not isinstance(bounds, BoundVector):
-        raise TypeError(f"expected a BoundVector, got {type(bounds).__name__}")
+    _expect(BoundVector, bounds)
     n = bounds.n
     if n == 2:
         out = [(v,) for v in range(bounds.values[0] + 1)]

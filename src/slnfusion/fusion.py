@@ -23,21 +23,30 @@ pass reads a filtration as a list of operators (alpha_k, x, lag): x acts on
 the rows that degree s - lag added at mu + alpha_k, held in one history
 list, history[lag].  Both builders get the pass's steps from `_steps`,
 which holds the one orbit stop below.
-Modulo F_{s-1}, f_k (x) t acts on F_{s-1} as a nonzero multiple of
-1 (x) f_k (see `fusion_graded`), so the filtration does not depend on the
-points, and they are only checked to be distinct.
+
+The filtration does not depend on the points, so they are only checked to
+be distinct.  On V1 (x) V2, f_k (x) t acts as
+c1 (f_k (x) 1) + c2 (1 (x) f_k) = c1 f_k + (c2 - c1)(1 (x) f_k), and f_k y
+already lies in F_{s-1} for every y in F_{s-1}, so
+(f_k (x) t) F_{s-1} = (1 (x) f_k) F_{s-1} modulo F_{s-1} as c2 != c1; the
+filtration is built with 1 (x) f_k in place of f_k (x) t.
+
 The pass stops at the dominant reach, the largest height of a dominant
 tensor weight.  Each F_s is an sl_n-submodule (sl_n (x) 1 has degree 0), so
 F_s / F_{s-1} is fixed by its dominant weight spaces; and F_s(mu) reads only
 the weights mu + alpha_k, of smaller height, so every weight the pass visits
 gets the rows it would get in a pass over all weights.  For the same two
 reasons a weight mu that is not dominant stops at the dimension that the
-dominant weight mu+ of its orbit already has: dim F_s(mu) = dim F_s(mu+),
-and mu+ has smaller height, so the pass has finished it.  The numbers of
-rows each degree adds at the dominant weights are the dominant part of the
-character of F_s / F_{s-1}, the one character format here;
-`peel_character` decomposes it into irreducibles, giving the graded
-decomposition: n and its entries alone.
+dominant weight mu+ of its orbit already has (the orbit stop):
+dim F_s(mu) = dim F_s(mu+), and mu+ - mu is a nonzero sum of positive
+roots, so mu+ has smaller height and the pass has finished it.  Once mu has
+that dimension it holds all of F_s(mu), and every further insert would be
+rejected.  Dominant weights run to their tensor weight dimension, as the
+pass has no smaller bound for them.  The numbers of rows each degree adds
+at the dominant weights are the dominant part of the character of
+F_s / F_{s-1}, the one character format here; `peel_character` decomposes
+it into irreducibles, giving the graded decomposition: n and its entries
+alone.
 
 Every step of the filtration is a weight-space-local row reduction in plain
 integers (the lowering operators are scaled to integer matrices once), which
@@ -55,7 +64,7 @@ import itertools
 import math
 import numbers
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
@@ -64,7 +73,9 @@ from .linalg import IntegerRowSpan, RationalRowBasis
 from .tensor import DecompositionMap
 from .typea import (
     Weight,
+    _check_limits,
     _check_rank,
+    _expect,
     _height,
     _parts,
     _same_rank,
@@ -150,14 +161,12 @@ def _lowering_pass(steps, dims, spaces, history) -> None:
     holds the rows, by weight, that degree s - lag added, s the degree of
     the pass, and the rows it stores are appended to history[0][mu].  The
     target is dims[mu] for a dominant mu, else the dimension that
-    spaces[stop] has at that point: each span is a weight space of an
-    sl_n-module (see `fusion_graded`), so dim spaces[mu] ends equal to it,
-    and stop has smaller height, so the pass has finished it and every
-    insert the stop skips would be rejected.  Row lists of weights already
-    passed are complete, so rows that a later insert at their own weight
-    reduces in place still span what was inserted there.  Weights here are
-    the coordinate tuples `Weight.coords` that key `dims`, `spaces` and the
-    row dicts; the pass only hashes and compares them."""
+    spaces[stop] has at that point, the orbit stop of the module docstring.
+    Row lists of weights already passed are complete, so rows that a later
+    insert at their own weight reduces in place still span what was
+    inserted there.  Weights here are the coordinate tuples `Weight.coords`
+    that key `dims`, `spaces` and the row dicts; the pass only hashes and
+    compares them."""
     for mu, stop, sources in steps:
         span = spaces[mu]
         target = dims[mu] if stop is None else spaces[stop].dimension
@@ -215,10 +224,13 @@ class ExplicitModule:
     f: tuple
 
     def __post_init__(self):
-        if not self.weights or not all(isinstance(w, Weight) for w in self.weights):
+        weights = self.weights
+        if not (isinstance(weights, Sequence) and weights) or not all(
+            isinstance(w, Weight) for w in weights
+        ):
             raise ValueError("a module's basis weights must be a nonempty sequence of Weights")
         n, dim = self.n, self.dim
-        if any(w.n != n for w in self.weights):
+        if any(w.n != n for w in weights):
             raise ValueError(f"module weights must all belong to sl_{n}")
         if not self.highest.is_dominant:
             raise ValueError(f"basis vector 0 has weight {self.highest}, which is not dominant")
@@ -266,6 +278,7 @@ class ExplicitModule:
 def build_irrep(lam: Weight, cap: int = DEFAULT_DIM_CAP) -> ExplicitModule:
     """Construct V(lam) explicitly; refuses modules larger than `cap`.
     Modules are cached by `lam` alone, whatever cap admitted them."""
+    _check_limits(cap=cap)
     dim = weyl_dim(lam)
     if dim > cap:
         raise DimensionCapError(
@@ -422,13 +435,13 @@ class GradedDecomposition:
                 raise ValueError(
                     f"graded entry {key!r} does not key a Weight: keys are (degree, Weight) pairs"
                 )
-        degrees = exact_ints([s for s, _ in self.entries], "degrees")
-        mults = exact_ints(self.entries.values(), "multiplicities")
+        degrees = exact_ints([s for s, _ in self.entries], "degrees", 0)
+        mults = exact_ints(self.entries.values(), "multiplicities", 1)
         self.entries = {
             (s, tau): m for s, (_, tau), m in zip(degrees, self.entries, mults)
         }
         for (s, tau), m in self.entries.items():
-            if s < 0 or m <= 0 or tau.n != self.n or not tau.is_dominant:
+            if tau.n != self.n or not tau.is_dominant:
                 raise ValueError(f"bad graded entry ({s}, {tau}) -> {m}")
 
     @property
@@ -450,7 +463,7 @@ class GradedDecomposition:
         return DecompositionMap(self.n, acc)
 
     def dimension(self) -> int:
-        return sum(m * weyl_dim(tau) for (_, tau), m in self.entries.items())
+        return sum(dm.dimension() for _, dm in self.slices())
 
     def to_json(self) -> dict:
         return {
@@ -486,29 +499,12 @@ def fusion_graded(
     numbers.Rational, such as int or Fraction; anything else raises
     ValueError).
 
-    The result does not depend on the points.  On V1 (x) V2, f_k (x) t acts
-    as c1 (f_k (x) 1) + c2 (1 (x) f_k) = c1 f_k + (c2 - c1)(1 (x) f_k), and
-    f_k y already lies in F_{s-1} for every y in F_{s-1}, so
-    (f_k (x) t) F_{s-1} = (1 (x) f_k) F_{s-1} modulo F_{s-1} as c2 != c1.
-    The filtration is therefore built with 1 (x) f_k in place of f_k (x) t.
-
-    Only the weights mu with height(top - mu) at most the dominant reach are
-    visited, only the dominant part of each degree's character is peeled,
-    and a weight mu that is not dominant stops inserting once its span
-    reaches the dimension of F_s(mu+), mu+ the dominant weight of its orbit:
-    - each F_s is sl_n-stable, so the dominant weights of F_s / F_{s-1}
-      fix its character, and all of them lie within the reach;
-    - F_s(mu) reads only F_s and F_{s-1} at mu + alpha_k, of smaller
-      height, so a visited weight gets the same rows as in a full pass;
-    - sl_n-stability also gives dim F_s(mu) = dim F_s(mu+), and mu+ - mu
-      is a nonzero sum of positive roots, so mu+ has smaller height: it is
-      visited, and the same pass has finished it before mu.  Once mu has
-      that dimension it holds all of F_s(mu), and every further insert
-      would be rejected.  Dominant weights still run to their tensor
-      weight dimension, as the pass has no smaller bound for them."""
-    for m in (m1, m2):
-        if not isinstance(m, ExplicitModule):
-            raise TypeError(f"expected an ExplicitModule, got {type(m).__name__}")
+    The result does not depend on the points.  Only the weights mu with
+    height(top - mu) at most the dominant reach are visited, only the
+    dominant part of each degree's character is peeled, and a weight that
+    is not dominant stops at the orbit stop; the module docstring gives
+    the argument for each."""
+    _expect(ExplicitModule, m1, m2)
     for c in (c1, c2):
         if not isinstance(c, numbers.Rational):
             raise ValueError(f"evaluation points must be exact rationals, got {c!r}")

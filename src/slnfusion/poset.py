@@ -21,7 +21,7 @@ from operator import le, sub
 from .cases import proven_regime
 from .dyck import BoundVector, _root_pairings, bounds_from_pair
 from .tensor import DecompositionMap, lr_coefficients, schur_positive
-from .typea import Weight, _dominant, _new_object, _parts, _set_attr, _weight, weyl_dim
+from .typea import Weight, _dominant, _expect, _new_object, _parts, _set_attr, _weight, weyl_dim
 
 __all__ = [
     "WeightPair",
@@ -99,9 +99,7 @@ def enumerate_pairs(lam: Weight) -> list[WeightPair]:
 
 def order_leq(pair_a: WeightPair, pair_b: WeightPair) -> bool:
     """Entrywise min-vector comparison; only defined within one poset."""
-    for p in (pair_a, pair_b):
-        if not isinstance(p, WeightPair):
-            raise TypeError(f"expected a WeightPair, got {type(p).__name__}")
+    _expect(WeightPair, pair_a, pair_b)
     if pair_a.total != pair_b.total:
         raise ValueError(
             f"pairs decompose different weights: {pair_a.total} vs {pair_b.total}"

@@ -16,7 +16,7 @@ import functools
 import time
 from dataclasses import dataclass
 
-from .cases import _check_limits, _dominant_range, _points_as_map, proven_regime, verify_case
+from .cases import _dominant_range, _points_as_map, proven_regime, verify_case
 from .dyck import bounds_from_weight, dominant_points, lattice_points
 from .fusion import (
     DEFAULT_DIM_CAP,
@@ -27,7 +27,7 @@ from .fusion import (
 )
 from .poset import maximal_pair, poset_report, weyl_character_prediction
 from .tensor import lr_coefficients
-from .typea import Weight, weyl_dim
+from .typea import Weight, _check_limits, weyl_dim
 
 __all__ = [
     "CheckResult",
@@ -123,7 +123,7 @@ def _sl2_pairs() -> list[tuple[Weight, Weight]]:
 
 def _fuse(lam1: Weight, lam2: Weight, dim_cap: int) -> GradedDecomposition:
     """Graded fusion of V(lam1) and V(lam2) at the points (0, 1); for two
-    factors the grading does not depend on the points (see `fusion_graded`)."""
+    factors the grading does not depend on the points (see `fusion`)."""
     return fusion_graded(build_irrep(lam1, dim_cap), 0, build_irrep(lam2, dim_cap), 1)
 
 
@@ -307,9 +307,10 @@ def run_all(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> list[CheckResult]:
     """The full battery in acceptance order, one result per criterion;
-    ValueError before any check for limits that `_check_limits` rejects, as
-    criteria 5 and 8-10 would sweep no weight."""
-    _check_limits(n_max=n_max, coord_max=coord_max)
+    ValueError before any check for limits that `_check_limits` rejects:
+    criteria 5 and 8-10 would sweep no weight, and a cap below 1 admits no
+    module."""
+    _check_limits(n_max=n_max, coord_max=coord_max, dim_cap=dim_cap)
     return [
         check_sl2(dim_cap=dim_cap),
         check_rectangular(),

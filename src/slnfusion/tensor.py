@@ -53,16 +53,13 @@ class DecompositionMap:
             raise ValueError(f"entries must be a mapping, got {type(entries).__name__}")
         self.n = n
         checked: dict[Weight, int] = {}
-        for w, m in zip(entries, exact_ints(entries.values(), "multiplicities")):
+        for w, m in zip(entries, exact_ints(entries.values(), "multiplicities", 0)):
             if not isinstance(w, Weight) or w.n != self.n:
                 raise ValueError(f"entry {w} does not belong to sl_{self.n}")
             if not w.is_dominant:
                 raise ValueError(f"entry {w} is not dominant")
-            if m == 0:
-                continue
-            if m < 0:
-                raise ValueError(f"negative multiplicity {m} at {w}")
-            checked[w] = m
+            if m:
+                checked[w] = m
         # Report order: descending lexicographic order on parts, which refines
         # descending dominance for weights of equal parts-total.
         self._entries = dict(

@@ -35,19 +35,62 @@ __all__ = [
 ]
 
 
-def exact_ints(values, what: str) -> tuple[int, ...]:
+def exact_ints(values, what: str, least=None, most=None) -> tuple[int, ...]:
     """`values` as a tuple of ints.  Each entry must be an exact integer (it
     has `__index__`): a float, Fraction or string raises ValueError rather
-    than being truncated or parsed."""
+    than being truncated or parsed, as does an entry outside `least..most`
+    (a bound left None is not checked)."""
     try:
-        return tuple(map(operator.index, values))
+        ints = tuple(map(operator.index, values))
     except TypeError:
-        raise ValueError(f"{what} must be integers, got {list(values)!r}") from None
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
+    if (least is not None and min(ints, default=least) < least) or (
+        most is not None and max(ints, default=most) > most
+    ):
+        bound = (
+            f">= {least}" if most is None
+            else f"<= {most}" if least is None
+            else f"in {least}..{most}"
+        )
+        raise ValueError(f"{what} must be {bound}, got {ints}")
+    return ints
 
 
 def _check_rank(n: int) -> None:
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"rank must be an integer >= 2, got {n!r}")
+
+
+def _expect(cls: type, *values) -> None:
+    """TypeError naming `cls` and the type of the first value that is not
+    an instance of it."""
+    for v in values:
+        if not isinstance(v, cls):
+            name = cls.__name__
+            article = "an" if name[0] in "AEIOU" else "a"
+            raise TypeError(f"expected {article} {name}, got {type(v).__name__}")
+
+
+# the least value of each sweep limit and cap (n_values holds ranks)
+_LIMIT_LEAST = dict(n_max=2, n_values=2, coord_max=0, m_max=0, k_max=0, cap=1, dim_cap=1)
+
+
+def _check_limits(**limits) -> None:
+    """ValueError unless n_max and each entry of a nonempty n_values are
+    integers >= 2, coord_max, m_max and k_max integers >= 0, and the
+    dimension caps cap and dim_cap integers >= 1: the bounds the CLI
+    enforces as usage errors.  Within them no sweep is empty and a cap
+    admits the trivial module."""
+    for name, value in limits.items():
+        least = _LIMIT_LEAST[name]
+        values = value if name == "n_values" else (value,)
+        if not (
+            isinstance(values, (tuple, list))
+            and values
+            and all(isinstance(v, int) and v >= least for v in values)
+        ):
+            what = "a nonempty tuple of integers" if name == "n_values" else "an integer"
+            raise ValueError(f"{name} must be {what} >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,9 +120,7 @@ class Weight:
     def fundamental(cls, n: int, k: int) -> "Weight":
         """omega_k, 1 <= k <= n-1."""
         _check_rank(n)
-        (k,) = exact_ints((k,), "fundamental weight index")
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"fundamental weight index must satisfy 1 <= k <= {n - 1}, got {k}")
+        (k,) = exact_ints((k,), "fundamental weight index", 1, n - 1)
         return cls(n, tuple(1 if i == k else 0 for i in range(1, n)))
 
     @classmethod
@@ -137,9 +178,7 @@ class Weight:
 def _same_rank(*weights) -> int:
     """The rank n shared by `weights`: TypeError for an argument that is not
     a Weight, ValueError naming n and the first rank that differs from it."""
-    for w in weights:
-        if not isinstance(w, Weight):
-            raise TypeError(f"expected a Weight, got {type(w).__name__}")
+    _expect(Weight, *weights)
     n = weights[0].n
     for w in weights:
         if w.n != n:
@@ -229,18 +268,22 @@ def _root_positions(n: int) -> dict[tuple[int, int], int]:
 
 def positive_root_index(root: Root) -> int:
     """Position of `root` within positive_roots(root.n)."""
+    _expect(Root, root)
     return _root_positions(root.n)[(root.i, root.j)]
 
 
 def pairing(weight: Weight, root: Root) -> int:
     """Evaluation weight(h_alpha) = m_i + ... + m_j on the coroot of alpha_{i,j}."""
-    if _same_rank(weight) != root.n:
+    n = _same_rank(weight)
+    _expect(Root, root)
+    if n != root.n:
         raise ValueError(f"rank mismatch: weight for sl_{weight.n}, root for sl_{root.n}")
     return sum(weight.coords[root.i - 1 : root.j])
 
 
 def root_as_weight(root: Root) -> Weight:
     """alpha_{i,j} rewritten in fundamental-weight coordinates."""
+    _expect(Root, root)
     parts = [0] * root.n
     parts[root.i - 1] += 1
     parts[root.j] -= 1

@@ -4,6 +4,7 @@ not dominant where a dominant weight is required.  Integer parameters and
 the other argument types fail with the same two exceptions."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from slnfusion import (
     BoundVector,
@@ -41,7 +42,13 @@ from slnfusion import (
     weyl_orbit,
 )
 from slnfusion import suite
-from slnfusion.typea import root_coordinates, root_lattice_height
+from slnfusion.typea import (
+    exact_ints,
+    positive_root_index,
+    root_as_weight,
+    root_coordinates,
+    root_lattice_height,
+)
 
 OK = Weight(3, (1, 0))
 
@@ -132,8 +139,18 @@ def test_other_argument_types_raise_type_error():
         (lambda: BoundVector(3, (1, 1, 1)).leq((1, 1, 1)), "expected a BoundVector, got tuple"),
         (lambda: DyckPath(((1, 1),)), "expected a Root, got tuple"),
         (lambda: DyckPath((Root(3, 1, 1), (1, 2))), "expected a Root, got tuple"),
+        (lambda: pairing(OK, (1, 1)), "expected a Root, got tuple"),
+        (lambda: root_as_weight((1, 1)), "expected a Root, got tuple"),
+        (lambda: positive_root_index((1, 1)), "expected a Root, got tuple"),
     ],
-    ids=["BoundVector.leq", "DyckPath first step", "DyckPath second step"],
+    ids=[
+        "BoundVector.leq",
+        "DyckPath first step",
+        "DyckPath second step",
+        "pairing root",
+        "root_as_weight",
+        "positive_root_index",
+    ],
 )
 def test_a_tuple_in_place_of_a_bound_vector_or_root_raises_type_error(call, message):
     with pytest.raises(TypeError) as exc:
@@ -201,3 +218,97 @@ def test_a_weight_sweep_check_rejects_bad_limits(check):
 def test_verify_case_rejects_bad_ranges(case, ranges):
     with pytest.raises(ValueError, match=LIMIT_MESSAGE):
         verify_case(case, **ranges)
+
+
+@pytest.mark.parametrize("value", ["x", 2.5, 0, -1], ids=["str", "float", "0", "-1"])
+def test_run_all_rejects_a_bad_dim_cap_before_any_check(monkeypatch, value):
+    def unreached(**_):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(suite, "check_sl2", unreached)
+    with pytest.raises(ValueError, match=f"^dim_cap must be an integer >= 1, got {value!r}$"):
+        run_all(dim_cap=value)
+
+
+@pytest.mark.parametrize("cap", ["a", 2.5, 0, -1], ids=["str", "float", "0", "-1"])
+def test_build_irrep_rejects_a_cap_that_is_not_an_integer_at_least_1(cap):
+    with pytest.raises(ValueError) as exc:
+        build_irrep(OK, cap=cap)
+    # a limit error, not a module refused by a cap below its dimension
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"cap must be an integer >= 1, got {cap!r}"
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: Weight(3, None), "weight coordinates"),
+        (lambda: Weight.from_parts(3, None), "parts"),
+        (lambda: BoundVector(3, None), "bounds"),
+    ],
+    ids=["Weight", "Weight.from_parts", "BoundVector"],
+)
+def test_none_in_place_of_integers_raises_value_error(call, what):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == f"{what} must be integers, got None"
+    # raised from the check itself, not from inside its own error path
+    assert exc.value.__context__ is None or exc.value.__suppress_context__
+
+
+@pytest.mark.parametrize("call", [rect_mults_formula, rect_hw_points], ids=["formula", "points"])
+def test_rectangle_rank_is_checked_before_the_indices(call):
+    with pytest.raises(ValueError, match=r"^rank must be an integer >= 2, got '3'$"):
+        call("3", 1, 1, 1, 1)
+
+
+# an integer parameter outside its range, with the message of the one range check
+OUT_OF_RANGE = {
+    "omega_k 0": (
+        lambda: Weight.fundamental(3, 0),
+        "fundamental weight index must be in 1..2, got (0,)",
+    ),
+    "omega_k 3": (
+        lambda: Weight.fundamental(3, 3),
+        "fundamental weight index must be in 1..2, got (3,)",
+    ),
+    "bounds": (lambda: BoundVector(3, (1, -1, 0)), "bounds must be >= 0, got (1, -1, 0)"),
+    "sl2 m2": (lambda: sl2_mults(1, -2), "sl_2 coordinates must be >= 0, got (1, -2)"),
+    "rect j": (
+        lambda: rect_mults_formula(3, 1, 1, 3, 1),
+        "fundamental indices must be in 1..2, got (1, 3)",
+    ),
+    "rect m_j": (lambda: rect_hw_points(3, 1, 1, 2, -1), "multiples must be >= 0, got (1, -1)"),
+    "pieri_row k": (lambda: pieri_row(OK, -1), "row length must be >= 0, got (-1,)"),
+    "pieri_column j": (lambda: pieri_column(OK, 3), "column index must be in 1..2, got (3,)"),
+    "graded degree": (
+        lambda: GradedDecomposition(3, {(-1, OK): 1}),
+        "degrees must be >= 0, got (-1,)",
+    ),
+    "graded mult": (
+        lambda: GradedDecomposition(3, {(0, OK): 0}),
+        "multiplicities must be >= 1, got (0,)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_an_integer_out_of_range_raises_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+BOUND = st.none() | st.integers(-4, 4)
+
+
+@given(st.lists(st.integers(-6, 6), max_size=5), BOUND, BOUND)
+def test_exact_ints_accepts_exactly_the_entries_in_range(values, least, most):
+    inside = all(
+        (least is None or v >= least) and (most is None or v <= most) for v in values
+    )
+    if inside:
+        assert exact_ints(values, "entries", least, most) == tuple(values)
+    else:
+        with pytest.raises(ValueError, match=r"^entries must be [<>i]"):
+            exact_ints(values, "entries", least, most)

@@ -141,6 +141,7 @@ def test_explicit_module_validation():
     unindexed[0] = ((float(m.f[0][0][0][0]), 1),)
     bad = [
         ((), ()),  # no basis
+        (1.5, v.f),  # a number in place of the basis weights
         (v.weights[::-1], v.f),  # basis vector 0 is the lowest weight
         (v.weights, v.f[:1]),  # one lowering matrix short
         (v.weights[:2] + (Weight(4, (0, 0, 1)),), v.f),  # mixed ranks
@@ -157,6 +158,9 @@ def test_explicit_module_validation():
     for weights, f in bad:
         with pytest.raises(ValueError):
             ExplicitModule(weights, f)
+    for weights in (1.5, None):
+        with pytest.raises(ValueError, match="must be a nonempty sequence of Weights$"):
+            ExplicitModule(weights, v.f)
     with pytest.raises(ValueError, match="not dominant"):
         dataclasses.replace(v, weights=v.weights[::-1])
     with pytest.raises(ValueError, match="needs 2 lowering matrices, got 1"):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slnfusion.cases import _dominant_range
+from slnfusion.cases import _dominant_range, rect_hw_points, rect_mults_formula
 from slnfusion.dyck import BoundVector, LatticePoint
 from slnfusion.fusion import GradedDecomposition, peel_character
 from slnfusion.linalg import IntegerRowSpan
@@ -113,6 +113,8 @@ def test_non_integer_entries_are_rejected_not_truncated(build, value):
         Weight.rho,
         lambda n: Weight.from_parts(n, (1, 0, 0)),
         lambda n: LatticePoint.from_sparse(n, [(1, 1, 1)]),
+        lambda n: rect_mults_formula(n, 1, 1, 2, 1),
+        lambda n: rect_hw_points(n, 1, 1, 2, 1),
     ],
     ids=[
         "DecompositionMap",
@@ -123,6 +125,8 @@ def test_non_integer_entries_are_rejected_not_truncated(build, value):
         "Weight.rho",
         "Weight.from_parts",
         "LatticePoint.from_sparse",
+        "rect_mults_formula",
+        "rect_hw_points",
     ],
 )
 @pytest.mark.parametrize("rank", [3.0, 3.9, 2.5, Fraction(3), "3"])
