@@ -25,11 +25,11 @@ built once per result.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
-from typing import Iterable
 
 from .typea import (
     Root,
@@ -66,6 +66,8 @@ class DyckPath:
     steps: tuple[Root, ...]
 
     def __post_init__(self):
+        if not isinstance(self.steps, Iterable):
+            raise ValueError(f"path steps must be an iterable of Roots, got {self.steps!r}")
         steps = tuple(self.steps)
         _expect(Root, *steps)
         if not steps:
@@ -200,6 +202,8 @@ class LatticePoint:
     @classmethod
     def from_sparse(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "LatticePoint":
         _check_rank(n)
+        if not isinstance(triples, Iterable):
+            raise ValueError(f"sparse exponents must be an iterable of (i, j, s), got {triples!r}")
         exps = [0] * (n * (n - 1) // 2)
         for i, j, s in triples:
             (s,) = exact_ints((s,), "exponents", 0)

@@ -31,22 +31,24 @@ already lies in F_{s-1} for every y in F_{s-1}, so
 (f_k (x) t) F_{s-1} = (1 (x) f_k) F_{s-1} modulo F_{s-1} as c2 != c1; the
 filtration is built with 1 (x) f_k in place of f_k (x) t.
 
-The pass stops at the dominant reach, the largest height of a dominant
-tensor weight.  Each F_s is an sl_n-submodule (sl_n (x) 1 has degree 0), so
-F_s / F_{s-1} is fixed by its dominant weight spaces; and F_s(mu) reads only
-the weights mu + alpha_k, of smaller height, so every weight the pass visits
-gets the rows it would get in a pass over all weights.  For the same two
-reasons a weight mu that is not dominant stops at the dimension that the
-dominant weight mu+ of its orbit already has (the orbit stop):
-dim F_s(mu) = dim F_s(mu+), and mu+ - mu is a nonzero sum of positive
-roots, so mu+ has smaller height and the pass has finished it.  Once mu has
-that dimension it holds all of F_s(mu), and every further insert would be
-rejected.  Dominant weights run to their tensor weight dimension, as the
-pass has no smaller bound for them.  The numbers of rows each degree adds
-at the dominant weights are the dominant part of the character of
-F_s / F_{s-1}, the one character format here; `peel_character` decomposes
-it into irreducibles, giving the graded decomposition: n and its entries
-alone.
+The pass visits the dominant closure: the dominant tensor weights and
+every tensor weight reached from one by adding simple roots through tensor
+weights.  Each F_s is an sl_n-submodule (sl_n (x) 1 has degree 0), so
+F_s / F_{s-1} is fixed by its dominant weight spaces, all in the closure;
+and F_s(mu) reads only the weights mu + alpha_k, of smaller height, which
+lie in the closure when mu does.  So every weight the pass visits gets the
+rows it would get in a pass over all weights, and no weight left out feeds
+one visited.  For the same two reasons a weight mu that is not dominant
+stops at the dimension that the dominant weight mu+ of its orbit already
+has (the orbit stop): dim F_s(mu) = dim F_s(mu+), and mu+ - mu is a
+nonzero sum of positive roots, so mu+ has smaller height and, dominant,
+lies in the closure: the pass has finished it.  Once mu has that dimension
+it holds all of F_s(mu), and every further insert would be rejected.
+Dominant weights run to their tensor weight dimension, as the pass has no
+smaller bound for them.  The numbers of rows each degree adds at the
+dominant weights are the dominant part of the character of F_s / F_{s-1},
+the one character format here; `peel_character` decomposes it into
+irreducibles, giving the graded decomposition: n and its entries alone.
 
 Every step of the filtration is a weight-space-local row reduction in plain
 integers (the lowering operators are scaled to integer matrices once), which
@@ -499,11 +501,10 @@ def fusion_graded(
     numbers.Rational, such as int or Fraction; anything else raises
     ValueError).
 
-    The result does not depend on the points.  Only the weights mu with
-    height(top - mu) at most the dominant reach are visited, only the
-    dominant part of each degree's character is peeled, and a weight that
-    is not dominant stops at the orbit stop; the module docstring gives
-    the argument for each."""
+    The result does not depend on the points.  Only the weights of the
+    dominant closure are visited, only the dominant part of each degree's
+    character is peeled, and a weight that is not dominant stops at the
+    orbit stop; the module docstring gives the argument for each."""
     _expect(ExplicitModule, m1, m2)
     for c in (c1, c2):
         if not isinstance(c, numbers.Rational):
@@ -521,11 +522,20 @@ def fusion_graded(
         for w2, d2 in weights2:
             w = tuple(map(add, w1, w2))
             dims[w] = dims.get(w, 0) + d1 * d2
-    height = {w: _height(n, tuple(map(sub, top, w))) for w in dims}
-    reach = max(h for w, h in height.items() if min(w) >= 0)
-    order = sorted((w for w in dims if height[w] <= reach), key=height.__getitem__)
+    operators = _lowering_maps(m1, m2)
+    alphas = {alpha for alpha, _, _ in operators}
+    # visit the dominant closure: no other weight feeds a dominant one
+    closure = grown = {w for w in dims if min(w) >= 0}
+    while grown:
+        grown = {
+            nu for mu in grown for alpha in alphas if (nu := tuple(map(add, mu, alpha))) in dims
+        } - closure
+        closure |= grown
+    order = sorted(
+        (w for w in dims if w in closure), key=lambda w: _height(n, tuple(map(sub, top, w)))
+    )
     spaces = {w: IntegerRowSpan() for w in order}
-    steps = _steps(order, _lowering_maps(m1, m2), spaces)
+    steps = _steps(order, operators, spaces)
 
     # Rows added in degrees s and s-1, by weight.  A row gets f_k in the
     # degree it was added and 1 (x) f_k in the next one: f_k F_{s-1} and

@@ -188,8 +188,14 @@ def schur_positive(
     lr(pair_low)[w].  The cached folds are compared key by key: a key's
     parts sum to |lambda1| + |lambda2| + |rho|, which depends only on
     lambda1 + lambda2, so pairs of one total share one set of keys."""
-    h1, h2 = pair_high
-    l1, l2 = pair_low
+    for pair in (pair_high, pair_low):
+        if not isinstance(pair, (tuple, list)):
+            raise TypeError(f"expected a pair of Weights, got {type(pair).__name__}")
+        if len(pair) != 2:
+            raise ValueError(
+                f"expected a pair of Weights, got a {type(pair).__name__} of length {len(pair)}"
+            )
+    (h1, h2), (l1, l2) = pair_high, pair_low
     n = _dominant(h1, h2, l1, l2)
     high = tuple(map(add, h1.coords, h2.coords))
     low = tuple(map(add, l1.coords, l2.coords))

@@ -37,13 +37,17 @@ __all__ = [
 
 def exact_ints(values, what: str, least=None, most=None) -> tuple[int, ...]:
     """`values` as a tuple of ints.  Each entry must be an exact integer (it
-    has `__index__`): a float, Fraction or string raises ValueError rather
-    than being truncated or parsed, as does an entry outside `least..most`
-    (a bound left None is not checked)."""
+    has `__index__`, and is not a bool): a float, Fraction, string or bool
+    raises ValueError rather than being truncated, parsed or read as 0 or 1,
+    as does an entry outside `least..most` (a bound left None is not
+    checked)."""
     try:
-        ints = tuple(map(operator.index, values))
+        entries = tuple(values)
+        ints = tuple(map(operator.index, entries))
     except TypeError:
-        raise ValueError(f"{what} must be integers, got {values!r}") from None
+        ints = None
+    if ints is None or bool in map(type, entries):
+        raise ValueError(f"{what} must be integers, got {values!r}")
     if (least is not None and min(ints, default=least) < least) or (
         most is not None and max(ints, default=most) > most
     ):
@@ -87,7 +91,7 @@ def _check_limits(**limits) -> None:
         if not (
             isinstance(values, (tuple, list))
             and values
-            and all(isinstance(v, int) and v >= least for v in values)
+            and all(isinstance(v, int) and not isinstance(v, bool) and v >= least for v in values)
         ):
             what = "a nonempty tuple of integers" if name == "n_values" else "an integer"
             raise ValueError(f"{name} must be {what} >= {least}, got {value!r}")

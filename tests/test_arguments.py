@@ -10,6 +10,7 @@ from slnfusion import (
     BoundVector,
     DyckPath,
     GradedDecomposition,
+    LatticePoint,
     Root,
     Weight,
     WeightPair,
@@ -115,8 +116,18 @@ def test_a_non_dominant_weight_raises_value_error(call):
         lambda: pieri_row(OK, 1.0),
         lambda: pieri_column(OK, 1.0),
         lambda: Weight.fundamental(3, 1.5),
+        lambda: exact_ints((1, True), "entries"),
     ],
-    ids=["sl2 m1", "sl2 m2", "rect m_i", "rect i", "pieri_row k", "pieri_column j", "omega_k"],
+    ids=[
+        "sl2 m1",
+        "sl2 m2",
+        "rect m_i",
+        "rect i",
+        "pieri_row k",
+        "pieri_column j",
+        "omega_k",
+        "exact_ints bool",
+    ],
 )
 def test_a_float_parameter_raises_value_error(call):
     with pytest.raises(ValueError, match="must be integers"):
@@ -189,6 +200,7 @@ BAD_RANGES = {
     "pieri-row k_max -1": ("pieri-row", {"k_max": -1}),
     "sl2 m_max -1": ("sl2", {"m_max": -1}),
     "sl2 m_max float": ("sl2", {"m_max": 2.0}),
+    "sl2 m_max bool": ("sl2", {"m_max": True}),
 }
 LIMIT_MESSAGE = r"must be (an integer|a nonempty tuple of integers) >= [02], got "
 
@@ -230,7 +242,9 @@ def test_run_all_rejects_a_bad_dim_cap_before_any_check(monkeypatch, value):
         run_all(dim_cap=value)
 
 
-@pytest.mark.parametrize("cap", ["a", 2.5, 0, -1], ids=["str", "float", "0", "-1"])
+@pytest.mark.parametrize(
+    "cap", ["a", 2.5, 0, -1, True], ids=["str", "float", "0", "-1", "bool"]
+)
 def test_build_irrep_rejects_a_cap_that_is_not_an_integer_at_least_1(cap):
     with pytest.raises(ValueError) as exc:
         build_irrep(OK, cap=cap)
@@ -254,6 +268,47 @@ def test_none_in_place_of_integers_raises_value_error(call, what):
     assert str(exc.value) == f"{what} must be integers, got None"
     # raised from the check itself, not from inside its own error path
     assert exc.value.__context__ is None or exc.value.__suppress_context__
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: LatticePoint.from_sparse(3, None),
+            "sparse exponents must be an iterable of (i, j, s), got None",
+        ),
+        (lambda: DyckPath(None), "path steps must be an iterable of Roots, got None"),
+    ],
+    ids=["LatticePoint.from_sparse", "DyckPath"],
+)
+def test_none_in_place_of_an_iterable_raises_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: schur_positive(OK, (OK, OK)), TypeError, "expected a pair of Weights, got Weight"),
+        (lambda: schur_positive((OK, OK), OK), TypeError, "expected a pair of Weights, got Weight"),
+        (
+            lambda: schur_positive((OK, OK, OK), (OK, OK)),
+            ValueError,
+            "expected a pair of Weights, got a tuple of length 3",
+        ),
+        (
+            lambda: schur_positive((OK, OK), (OK,)),
+            ValueError,
+            "expected a pair of Weights, got a tuple of length 1",
+        ),
+    ],
+    ids=["high Weight", "low Weight", "high 3-tuple", "low 1-tuple"],
+)
+def test_schur_positive_names_the_pair_before_unpacking(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 @pytest.mark.parametrize("call", [rect_mults_formula, rect_hw_points], ids=["formula", "points"])

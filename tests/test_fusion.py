@@ -1,6 +1,7 @@
 """Explicit modules, character peeling, and graded fusion products."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import time
@@ -204,6 +205,52 @@ def test_lowering_pass_hashes_no_weight(monkeypatch):
     # pass per degree
     assert len(passes) >= 1 + graded.max_degree + 1
     assert all(type(mu) is tuple for mu, _, _ in passes[-1][0])
+
+
+@pytest.mark.parametrize(
+    "lam1, lam2, size",
+    [
+        (Weight(3, (1, 1)), Weight(3, (1, 1)), 9),
+        # the three pairs of the perfbench fusion workload
+        (Weight(3, (2, 2)), Weight(3, (2, 1)), 16),
+        (Weight(3, (1, 1)), Weight(3, (3, 3)), 25),
+        (Weight(4, (1, 1, 1)), Weight(4, (1, 0, 1)), 26),
+    ],
+    ids=["sl3-(1,1)x(1,1)", "sl3-(2,2)x(2,1)", "sl3-(1,1)x(3,3)", "sl4-(1,1,1)x(1,0,1)"],
+)
+def test_fusion_visits_the_dominant_closure(monkeypatch, lam1, lam2, size):
+    # F_s(mu) reads only the weights mu + alpha_k, so the pass needs exactly
+    # the tensor weights from which a dominant weight is reached by
+    # subtracting simple roots through tensor weights: found here by a
+    # downward search, against the order the pass is handed
+    m1, m2 = build_irrep(lam1), build_irrep(lam2)
+    orders = []
+    original = fusion._steps
+
+    def recording(order, *args):
+        orders.append(order)
+        return original(order, *args)
+
+    monkeypatch.setattr(fusion, "_steps", recording)
+    fusion_graded(m1, 0, m2, 1)
+    (order,) = orders
+
+    tensor = {
+        tuple(a + b for a, b in zip(w1.coords, w2.coords))
+        for w1 in m1.weights
+        for w2 in m2.weights
+    }
+    alphas = [simple_root_weight(lam1.n, k).coords for k in range(1, lam1.n)]
+
+    @functools.cache
+    def leads_down(mu):
+        return min(mu) >= 0 or any(
+            nu in tensor and leads_down(nu)
+            for nu in (tuple(a - b for a, b in zip(mu, alpha)) for alpha in alphas)
+        )
+
+    assert len(order) == len(set(order)) == size
+    assert set(order) == {mu for mu in tensor if leads_down(mu)}
 
 
 def test_cache_info_counts_a_repeated_build():

@@ -35,10 +35,18 @@ def insert_sequences(draw, entries=st.integers(-9, 9), coeffs=st.integers(-4, 4)
     return out
 
 
-FRACTION_SEQUENCES = insert_sequences(
-    entries=st.fractions(-9, 9, max_denominator=6),
-    coeffs=st.fractions(-4, 4, max_denominator=3),
-)
+def fractions(bound, max_denominator):
+    """The values of st.fractions(-bound, bound, max_denominator=...), from
+    one integer strategy per denominator built here once: st.fractions
+    builds a new strategy on every draw, and validating it took most of the
+    generation time."""
+    return st.one_of(
+        st.integers(-bound * d, bound * d).map(lambda p, d=d: Fraction(p, d))
+        for d in range(1, max_denominator + 1)
+    )
+
+
+FRACTION_SEQUENCES = insert_sequences(entries=fractions(9, 6), coeffs=fractions(4, 3))
 
 
 class FractionRowBasis:
